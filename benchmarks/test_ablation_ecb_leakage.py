@@ -9,7 +9,7 @@ from collections import Counter
 
 from conftest import SEED, run_once
 
-from repro.analysis.attacks import EcbAddressObfuscation, dictionary_attack
+from repro.attacks.dictionary import EcbAddressObfuscation, dictionary_attack
 from repro.cpu.generator import make_trace
 from repro.cpu.spec_profiles import SPEC_PROFILES
 from repro.crypto.ctr import CtrPadGenerator

@@ -1,17 +1,8 @@
-"""Security analysis: leakage metrics, attack harness and the energy model."""
+"""Security analysis: leakage metrics and the energy model.
 
-from repro.analysis.attacks import (
-    ActiveAttackOutcome,
-    DictionaryAttackResult,
-    EcbAddressObfuscation,
-    command_bitflip_attack,
-    command_wire_encodings,
-    data_tamper_attack,
-    dictionary_attack,
-    injection_attack,
-    message_drop_attack,
-    replay_attack,
-)
+The attack harnesses live in :mod:`repro.attacks`.
+"""
+
 from repro.analysis.energy import (
     EnergyComparison,
     MeasuredEnergy,
@@ -37,16 +28,6 @@ from repro.analysis.leakage import (
 )
 
 __all__ = [
-    "ActiveAttackOutcome",
-    "DictionaryAttackResult",
-    "EcbAddressObfuscation",
-    "command_bitflip_attack",
-    "command_wire_encodings",
-    "data_tamper_attack",
-    "dictionary_attack",
-    "injection_attack",
-    "message_drop_attack",
-    "replay_attack",
     "EnergyComparison",
     "MeasuredEnergy",
     "PCM_WRITE_TO_READ_ENERGY",

@@ -71,7 +71,7 @@ def establish_session_key(
     """Run a complete two-party exchange; returns (key_a, key_b).
 
     Both keys are equal when the exchange is untampered — tests assert this,
-    and the tamper-injection tests in :mod:`repro.analysis.attacks` assert
+    and the tamper-injection tests in :mod:`repro.attacks.tamper` assert
     the converse.
     """
     if group is None:

@@ -17,8 +17,9 @@ Two consumers share the store:
   a trace prefix, so a safe-prefix checkpoint saved by the ``n=1000`` job
   lets the ``n=4000`` job skip the first chunk of its simulation entirely:
   thaw, retarget onto the longer traces, run only the remainder.
-  :func:`execute_with_checkpoints` packages that fork-or-cold decision, and
-  :class:`~repro.experiments.executor.ParallelRunner` applies it to every
+  :func:`world_for_spec` makes that fork-or-cold decision for
+  :func:`~repro.experiments.executor.execute`, which
+  :class:`~repro.experiments.executor.ParallelRunner` applies to every
   sweep job when given a store.
 * **Preemptible serving** — the worker pool checkpoints a long job when its
   deadline slice expires and requeues it; the next slice resumes from the
@@ -37,7 +38,6 @@ job's periodic saves do not accumulate.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,14 +48,7 @@ from repro.experiments.executor import (
     JobSpec,
     JsonFileCache,
 )
-from repro.system.simulator import RunResult
 from repro.system.world import SimCheckpoint, SimWorld
-
-#: Default kernel-event slice between periodic checkpoint saves.  A default
-#: executor job (4000 requests) executes on the order of 1e5 events, so this
-#: yields a handful of save points per job — enough to fork from, cheap
-#: enough to never dominate the run.
-DEFAULT_CHECKPOINT_INTERVAL_EVENTS = 50_000
 
 #: How many snapshots :meth:`CheckpointStore.put` keeps per (prefix, length)
 #: family — the deepest ones win, older save points are pruned.
@@ -75,20 +68,6 @@ class StoredCheckpoint:
     #: Per-core request count of the run that saved this snapshot.
     num_requests: int
     path: Path
-
-
-@dataclass(frozen=True)
-class CheckpointedRun:
-    """What :func:`execute_with_checkpoints` did for one spec."""
-
-    result: RunResult
-    #: Kernel events the resumed world had already executed at thaw time
-    #: (0 for a cold start).
-    forked_from_events: int
-    #: Periodic snapshots persisted during this run.
-    checkpoints_saved: int
-    #: Kernel events this run actually executed (total minus forked).
-    events_executed: int
 
 
 class CheckpointStore(JsonFileCache):
@@ -217,20 +196,6 @@ class CheckpointStore(JsonFileCache):
 # Execution helpers
 
 
-def build_world(spec: JobSpec) -> SimWorld:
-    """A cold :class:`SimWorld` for one spec (traces via the trace cache)."""
-    from repro.cpu.spec_profiles import SPEC_PROFILES
-    from repro.experiments.trace_cache import traces_for_benchmark
-
-    profile = SPEC_PROFILES[spec.benchmark]
-    traces = traces_for_benchmark(
-        spec.benchmark, spec.num_requests, spec.seed, cores=spec.cores
-    )
-    return SimWorld(
-        traces, spec.level, machine=spec.machine, window=profile.window, seed=spec.seed
-    )
-
-
 def world_for_spec(
     spec: JobSpec, store: CheckpointStore | None
 ) -> tuple[SimWorld, int]:
@@ -241,131 +206,36 @@ def world_for_spec(
     retarget a stored snapshot (damage, version skew, non-extending
     traces) deletes the offending entry and falls back to a cold start:
     checkpoints accelerate, they can never be required for correctness.
+    This is the one place a spec's traces are fetched (through the
+    persistent trace cache); a same-length fork needs none.
     """
-    if store is None:
-        return build_world(spec), 0
-    entry = store.deepest(spec)
-    if entry is None:
-        return build_world(spec), 0
-    try:
-        world = entry.checkpoint.thaw()
-        if entry.num_requests != spec.num_requests:
-            from repro.experiments.trace_cache import traces_for_benchmark
+    from repro.cpu.spec_profiles import SPEC_PROFILES
+    from repro.experiments.trace_cache import traces_for_benchmark
 
-            world.retarget(
-                traces_for_benchmark(
-                    spec.benchmark, spec.num_requests, spec.seed, cores=spec.cores
-                )
-            )
-        return world, entry.checkpoint.events_executed
-    except CheckpointError:
-        entry.path.unlink(missing_ok=True)
-        return build_world(spec), 0
+    def traces():
+        return traces_for_benchmark(
+            spec.benchmark, spec.num_requests, spec.seed, cores=spec.cores
+        )
 
-
-def execute_with_checkpoints(
-    spec: JobSpec,
-    store: CheckpointStore | None,
-    interval_events: int = DEFAULT_CHECKPOINT_INTERVAL_EVENTS,
-    save_milestones: tuple[float, ...] | None = None,
-) -> CheckpointedRun:
-    """Run one spec warm-from-checkpoint, saving new snapshots on the way.
-
-    The simulation executes in ``interval_events`` slices.  With the
-    default ``save_milestones=None``, a snapshot is persisted at *every*
-    slice boundary that is still a safe prefix (the original periodic
-    policy; fine for long jobs where the interval yields a handful of
-    saves).  A snapshot save costs a full world pickle — milliseconds —
-    while pausing the engine costs nothing, so schedulers that slice
-    finely pass ``save_milestones``: a sorted tuple of trace-progress
-    fractions, and a snapshot is saved only at the first boundary past
-    each milestone (``()`` forks from the store but never saves — right
-    for the deepest member of a sweep family, whose snapshots nobody
-    would ever fork from).  The result is bit-identical to
-    :meth:`JobSpec.execute` — the golden-determinism suite holds this
-    over the whole scheme grid.
-    """
-    world, forked_from = world_for_spec(spec, store)
-    interval = max(1, int(interval_events))
-    saved = 0
-    if store is None:
-        world.run()
-    elif save_milestones is None:
-        while not world.run(stop_after_events=interval):
-            if world.safe_prefix:
-                store.put(spec, world.snapshot())
-                saved += 1
-    else:
-        # Adaptive probing: estimate the event cost of reaching the next
-        # milestone from the rate observed so far (events executed over
-        # trace progress), undershoot it slightly, and re-probe.  A run
-        # reaches each milestone in a handful of slices whatever the
-        # scheme's events-per-request rate — fixed-interval slicing would
-        # need hundreds of pauses on heavy schemes to catch a late
-        # milestone on light ones.
-        pending = sorted(save_milestones)
-        finished = False
-        while pending and not finished:
-            progress = world.trace_progress
-            if progress >= pending[0]:
-                if world.safe_prefix:
-                    store.put(spec, world.snapshot())
-                    saved += 1
-                pending = [m for m in pending if progress < m]
-                continue
-            if progress > 0 and world.events_executed > 0:
-                estimate = world.events_executed / progress
-                step = max(
-                    interval, int((pending[0] - progress) * estimate * 0.9)
-                )
-            else:
-                step = interval
-            finished = world.run(stop_after_events=step)
-        if not finished:
-            world.run()
-    return CheckpointedRun(
-        result=world.result(),
-        forked_from_events=forked_from,
-        checkpoints_saved=saved,
-        events_executed=world.events_executed - forked_from,
+    entry = None if store is None else store.deepest(spec)
+    if entry is not None:
+        try:
+            world = entry.checkpoint.thaw()
+            if entry.num_requests != spec.num_requests:
+                world.retarget(traces())
+            return world, entry.checkpoint.events_executed
+        except CheckpointError:
+            entry.path.unlink(missing_ok=True)
+    return (
+        SimWorld(
+            traces(),
+            spec.level,
+            machine=spec.machine,
+            window=SPEC_PROFILES[spec.benchmark].window,
+            seed=spec.seed,
+        ),
+        0,
     )
-
-
-def _checkpointed_job(item: tuple) -> "ExecutionOutcome":
-    """Worker entry point used by :class:`ParallelRunner` (fork-pool safe).
-
-    Returns an :class:`~repro.experiments.executor.ExecutionOutcome` whose
-    provenance fields record whether (and how deep) the job forked from a
-    stored snapshot, so the run manifest can audit warm starts.
-    """
-    from repro.experiments.executor import ExecutionOutcome
-
-    spec, directory, max_bytes, interval, milestones = item
-    store = CheckpointStore(directory, max_bytes=max_bytes)
-    started = time.perf_counter()
-    run = execute_with_checkpoints(
-        spec, store, interval_events=interval, save_milestones=milestones
-    )
-    return ExecutionOutcome(
-        result=run.result,
-        wall_ms=(time.perf_counter() - started) * 1000.0,
-        checkpoint_hits=1 if run.forked_from_events > 0 else 0,
-        resumed_from_events=run.forked_from_events,
-    )
-
-
-def checkpointed_jobs(
-    store: CheckpointStore,
-    interval_events: int,
-    specs: list[JobSpec],
-    save_milestones: tuple[float, ...] | None = None,
-) -> tuple:
-    """(callable, payloads) pair for the runner's execution fan-out."""
-    items = [
-        (spec, str(store.directory), store.max_bytes, interval_events, save_milestones)
-        for spec in specs
-    ]
-    return _checkpointed_job, items
 
 
 def default_checkpoint_store(

@@ -40,11 +40,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
-import threading
 import time
 import typing
 from dataclasses import dataclass, field
@@ -56,11 +56,11 @@ except ImportError:  # pragma: no cover - platform-dependent
     fcntl = None
 
 from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.schemes import level_for, resolve_scheme, scheme_name_of
 from repro.sim.statistics import StatRegistry
 from repro.system.config import MachineConfig, ProtectionLevel
-from repro.system.simulator import RunResult, run_traces
+from repro.system.simulator import RunResult
 
 #: Bumped whenever the simulation physics or the result format changes in a
 #: way that invalidates previously cached results.  The version participates
@@ -70,8 +70,9 @@ CACHE_SCHEMA_VERSION = 1
 #: Version of the run-manifest JSON layout.  :meth:`RunManifest.load` rejects
 #: files written under a different version (or damaged files) by returning
 #: ``None`` — version skew degrades to "no manifest", never to a crash.
-#: v2 added checkpoint warm-start provenance per record and sweep warnings.
-MANIFEST_SCHEMA_VERSION = 2
+#: v2 added checkpoint warm-start provenance per record and sweep warnings;
+#: v3 nests each record's cost in one :class:`Telemetry` object.
+MANIFEST_SCHEMA_VERSION = 3
 
 #: Default location of the persistent result cache, relative to the working
 #: directory.  Override with ``--cache-dir`` or ``REPRO_CACHE_DIR``.
@@ -86,6 +87,17 @@ CACHE_BYTES_ENV = "REPRO_CACHE_BYTES"
 
 DEFAULT_REQUESTS = 4000
 DEFAULT_SEED = 2017
+
+#: Default kernel-event slice between periodic checkpoint saves.  A default
+#: executor job (4000 requests) executes on the order of 1e5 events, so this
+#: yields a handful of save points per job — enough to fork from, cheap
+#: enough to never dominate the run.
+DEFAULT_CHECKPOINT_INTERVAL_EVENTS = 50_000
+
+#: Kernel events between wall-clock budget checks while a budgeted job
+#: runs — small enough that a slice overshoots its budget by milliseconds,
+#: large enough that the check never shows up in a profile.
+PREEMPT_SLICE_EVENTS = 20_000
 
 
 def _jsonable(value):
@@ -158,26 +170,11 @@ class JobSpec:
     def execute(self) -> RunResult:
         """Run the simulation this spec describes (the result is not cached).
 
-        The front-end traces come through the process-wide persistent trace
-        cache (:mod:`repro.experiments.trace_cache`): warm runs skip trace
-        generation entirely, cold runs generate and persist.  Cached traces
-        round-trip through JSON exactly, so the result is bit-identical to
-        a direct :func:`repro.system.run_benchmark` either way.
+        Shorthand for ``execute(spec).result``: a cold, uncheckpointed run
+        whose traces come through the persistent trace cache, bit-identical
+        to a direct :func:`repro.system.run_benchmark`.
         """
-        # Imported lazily: trace_cache builds on this module's cache base.
-        from repro.experiments.trace_cache import traces_for_benchmark
-
-        profile = SPEC_PROFILES[self.benchmark]
-        traces = traces_for_benchmark(
-            self.benchmark, self.num_requests, self.seed, cores=self.cores
-        )
-        return run_traces(
-            traces,
-            self.level,
-            machine=self.machine,
-            window=profile.window,
-            seed=self.seed,
-        )
+        return execute(self).result
 
 
 #: Sweep-construction warnings waiting to be attached to the next manifest.
@@ -554,14 +551,158 @@ class ResultCache(JsonFileCache):
 
 
 @dataclass(frozen=True)
-class JobRecord:
-    """One manifest line: a job's identity, cache provenance and wall-clock.
+class Telemetry:
+    """What one execution cost — the one record every consumer carries.
 
-    ``checkpoint_hits`` / ``resumed_from_events`` record checkpoint
-    warm-start provenance: a job that forked from a stored snapshot carries
-    the number of snapshots it consumed (0 or 1) and the kernel-event depth
-    it resumed from, so a warm-started sweep's speedup is auditable from
-    the manifest instead of looking identical to a cold run.
+    :func:`execute` fills it; pool replies, :class:`~repro.serve.pool.
+    PoolOutcome`, :class:`JobRecord` and the service's ``/metrics`` all
+    carry it unchanged.  The all-zero default describes work that never
+    reached the simulator (a cache hit, a job cancelled while queued).
+    """
+
+    wall_ms: float = 0.0
+    #: Kernel events this execution ran (the world's ``events_executed``
+    #: delta — a forked run excludes the events it resumed past).
+    sim_events: int = 0
+    #: Front-end traces reused from / generated into the trace cache.
+    trace_cache_hits: int = 0
+    trace_cache_misses: int = 0
+    #: Kernel-event depth of the stored snapshot the run forked from
+    #: (0 for a cold start).
+    forked_from_events: int = 0
+    #: 1 when a checkpoint store was probed and the run started cold.
+    checkpoint_misses: int = 0
+    #: Snapshots persisted during the run (periodic, milestone or
+    #: preemption saves).
+    checkpoints_saved: int = 0
+    #: The wall budget expired first: the world was checkpointed and the
+    #: execution has no result.
+    preempted: bool = False
+
+
+@dataclass(frozen=True)
+class Execution:
+    """One :func:`execute` call: the result (None if preempted) and its cost."""
+
+    result: RunResult | None
+    telemetry: Telemetry
+
+
+def _elapsed_ms(started: float) -> float:
+    return (time.perf_counter() - started) * 1000.0
+
+
+def execute(
+    spec: JobSpec,
+    *,
+    store=None,
+    interval_events: int = DEFAULT_CHECKPOINT_INTERVAL_EVENTS,
+    save_milestones: tuple[float, ...] | None = None,
+    budget_s: float | None = None,
+) -> Execution:
+    """Run one spec — the single path every JobSpec simulation takes.
+
+    Without a ``store`` (a :class:`~repro.experiments.checkpoints.
+    CheckpointStore`) this is a plain cold run.  With one, the run forks
+    from the deepest usable stored snapshot of the spec's family and
+    saves new snapshots under exactly one policy:
+
+    * ``budget_s`` set — the pool's wall budget: the world runs in
+      :data:`PREEMPT_SLICE_EVENTS` slices and, once the budget expires,
+      is checkpointed (whatever its prefix state) and the execution
+      returns *preempted* with no result.  If that save fails, the budget
+      is dropped and the job runs to completion instead.  Nothing is
+      saved periodically.
+    * ``save_milestones=None`` — periodic: a snapshot at every
+      ``interval_events`` boundary that is still a safe prefix.
+    * ``save_milestones`` a tuple of trace-progress fractions — a
+      snapshot at the first boundary past each milestone; ``()`` forks
+      but never saves (right for a sweep family's deepest member, or for
+      a pool job with no budget).
+
+    A snapshot save costs a full world pickle, while pausing the engine
+    costs nothing, so slicing never changes the physics: every result is
+    bit-identical to a cold run — the golden-determinism suite holds this
+    over the whole scheme grid.
+    """
+    # Imported lazily: both modules build on this one.
+    from repro.experiments import trace_cache
+    from repro.experiments.checkpoints import world_for_spec
+
+    started = time.perf_counter()
+    hits_before, misses_before = trace_cache.counters()
+    world, forked_from = world_for_spec(spec, store)
+    interval = max(1, int(interval_events))
+    saved = 0
+    preempted = False
+    if store is None:
+        world.run()
+    elif budget_s is not None:
+        deadline = started + float(budget_s)
+        while not world.run(stop_after_events=PREEMPT_SLICE_EVENTS):
+            if time.perf_counter() >= deadline:
+                try:
+                    store.put(spec, world.snapshot())
+                except (CheckpointError, OSError):
+                    world.run()  # cannot persist progress: finish instead
+                    break
+                saved += 1
+                preempted = True
+                break
+    elif save_milestones is None:
+        while not world.run(stop_after_events=interval):
+            if world.safe_prefix:
+                store.put(spec, world.snapshot())
+                saved += 1
+    else:
+        # Adaptive probing: estimate the event cost of reaching the next
+        # milestone from the rate observed so far (events executed over
+        # trace progress), undershoot it slightly, and re-probe.  A run
+        # reaches each milestone in a handful of slices whatever the
+        # scheme's events-per-request rate — fixed-interval slicing would
+        # need hundreds of pauses on heavy schemes to catch a late
+        # milestone on light ones.
+        pending = sorted(save_milestones)
+        finished = False
+        while pending and not finished:
+            progress = world.trace_progress
+            if progress >= pending[0]:
+                if world.safe_prefix:
+                    store.put(spec, world.snapshot())
+                    saved += 1
+                pending = [m for m in pending if progress < m]
+                continue
+            if progress > 0 and world.events_executed > 0:
+                estimate = world.events_executed / progress
+                step = max(interval, int((pending[0] - progress) * estimate * 0.9))
+            else:
+                step = interval
+            finished = world.run(stop_after_events=step)
+        if not finished:
+            world.run()
+    hits_after, misses_after = trace_cache.counters()
+    telemetry = Telemetry(
+        wall_ms=_elapsed_ms(started),
+        sim_events=world.events_executed - forked_from,
+        trace_cache_hits=hits_after - hits_before,
+        trace_cache_misses=misses_after - misses_before,
+        forked_from_events=forked_from,
+        checkpoint_misses=int(store is not None and forked_from == 0),
+        checkpoints_saved=saved,
+        preempted=preempted,
+    )
+    return Execution(None if preempted else world.result(), telemetry)
+
+
+@dataclass(frozen=True)
+class JobRecord:
+    """One manifest line: a job's identity, cache provenance and telemetry.
+
+    A cache hit carries an all-zero :class:`Telemetry`; a job that forked
+    from a stored snapshot carries the kernel-event depth it resumed from
+    (``telemetry.forked_from_events``), so a warm-started sweep's speedup
+    is auditable from the manifest instead of looking identical to a cold
+    run.
     """
 
     digest: str
@@ -572,11 +713,7 @@ class JobRecord:
     num_requests: int
     seed: int
     source: str  # "memory" | "disk" | "simulated"
-    wall_ms: float
-    #: Stored checkpoints this job consumed (0 = cold start, 1 = warm fork).
-    checkpoint_hits: int = 0
-    #: Kernel-event depth the job resumed from (0 for a cold start).
-    resumed_from_events: int = 0
+    telemetry: Telemetry
 
 
 @dataclass
@@ -613,12 +750,12 @@ class RunManifest:
     @property
     def checkpoint_hits(self) -> int:
         """Simulated jobs that warm-started from a stored checkpoint."""
-        return sum(1 for record in self.records if record.checkpoint_hits > 0)
+        return sum(1 for record in self.records if record.telemetry.forked_from_events)
 
     @property
     def events_resumed(self) -> int:
         """Total kernel events skipped by forking from checkpoints."""
-        return sum(record.resumed_from_events for record in self.records)
+        return sum(record.telemetry.forked_from_events for record in self.records)
 
     def to_jsonable(self) -> dict:
         """The manifest as a JSON-ready dict."""
@@ -657,9 +794,8 @@ class RunManifest:
             payload = json.loads(Path(path).read_text())
             if payload.get("schema") != MANIFEST_SCHEMA_VERSION:
                 return None
-            field_names = {f.name for f in dataclasses.fields(JobRecord)}
             records = [
-                JobRecord(**{name: record[name] for name in field_names if name in record})
+                JobRecord(**{**record, "telemetry": Telemetry(**record["telemetry"])})
                 for record in payload["records"]
             ]
             return cls(
@@ -674,28 +810,17 @@ class RunManifest:
             return None
 
 
-@dataclass(frozen=True)
-class ExecutionOutcome:
-    """What executing one cache-missing job produced (worker wire format).
+def _run_job(job, **options) -> Execution:
+    """Per-job entry point: :func:`execute` a JobSpec; time any other job.
 
-    Checkpoint-aware executors fill the provenance fields; the plain path
-    leaves them at their cold-start defaults, so the manifest can always
-    tell a warm fork from a cold run.
+    Attack-matrix cells (:class:`~repro.experiments.matrix.AttackCellSpec`)
+    ride the runner duck-typed — ``digest()`` plus ``execute()`` — and
+    report only their wall-clock.
     """
-
-    result: RunResult
-    wall_ms: float
-    #: Stored checkpoints consumed by this execution (0 or 1).
-    checkpoint_hits: int = 0
-    #: Kernel-event depth the execution resumed from (0 = cold).
-    resumed_from_events: int = 0
-
-
-def _execute_job(spec: JobSpec) -> ExecutionOutcome:
-    """Worker entry point: simulate one spec, timing the job's wall-clock."""
+    if isinstance(job, JobSpec):
+        return execute(job, **options)
     started = time.perf_counter()
-    result = spec.execute()
-    return ExecutionOutcome(result, (time.perf_counter() - started) * 1000.0)
+    return Execution(job.execute(), Telemetry(wall_ms=_elapsed_ms(started)))
 
 
 def _fork_context():
@@ -735,16 +860,19 @@ class ParallelRunner:
         self.stats = stats or StatRegistry()
         self.manifest: RunManifest | None = None
         #: Optional :class:`~repro.experiments.checkpoints.CheckpointStore`.
-        #: When set, cache-missing jobs run through
-        #: :func:`~repro.experiments.checkpoints.execute_with_checkpoints`:
+        #: When set, cache-missing jobs run through :func:`execute` with it:
         #: they fork from the deepest stored snapshot of their spec family
         #: and persist fresh snapshots as they go, so a request-count sweep
         #: pays for each shared trace prefix once.
         self.checkpoints = checkpoints
-        self.checkpoint_interval_events = checkpoint_interval_events
+        self.checkpoint_interval_events = (
+            DEFAULT_CHECKPOINT_INTERVAL_EVENTS
+            if checkpoint_interval_events is None
+            else checkpoint_interval_events
+        )
         #: Trace-progress fractions at which checkpointed jobs save
         #: snapshots (None = periodic per-interval saves; () = fork but
-        #: never save).  See :func:`~repro.experiments.checkpoints.execute_with_checkpoints`.
+        #: never save).  See :func:`execute`.
         self.checkpoint_save_milestones = checkpoint_save_milestones
 
     def lookup(self, spec: JobSpec) -> tuple[RunResult | None, str]:
@@ -799,13 +927,7 @@ class ParallelRunner:
         pending: list[int] = []
         digests = [spec.digest() for spec in specs]
 
-        def resolve(
-            index: int,
-            source: str,
-            wall_ms: float,
-            checkpoint_hits: int = 0,
-            resumed_from_events: int = 0,
-        ) -> None:
+        def resolve(index: int, source: str, telemetry: Telemetry) -> None:
             spec = specs[index]
             record = JobRecord(
                 digest=digests[index],
@@ -816,9 +938,7 @@ class ParallelRunner:
                 num_requests=spec.num_requests,
                 seed=spec.seed,
                 source=source,
-                wall_ms=wall_ms,
-                checkpoint_hits=checkpoint_hits,
-                resumed_from_events=resumed_from_events,
+                telemetry=telemetry,
             )
             records[index] = record
             if progress is not None:
@@ -827,13 +947,13 @@ class ParallelRunner:
         for index, digest in enumerate(digests):
             if digest in self.memory:
                 results[index] = self.memory[digest]
-                resolve(index, "memory", 0.0)
+                resolve(index, "memory", Telemetry())
             elif self.cache is not None:
                 cached = self.cache.get(specs[index])
                 if cached is not None:
                     results[index] = cached
                     self.memory[digest] = cached
-                    resolve(index, "disk", 0.0)
+                    resolve(index, "disk", Telemetry())
                 else:
                     pending.append(index)
             else:
@@ -841,19 +961,13 @@ class ParallelRunner:
 
         if pending:
 
-            def on_outcome(position: int, outcome: ExecutionOutcome) -> None:
+            def on_outcome(position: int, outcome: Execution) -> None:
                 index = pending[position]
                 results[index] = outcome.result
                 self.memory[digests[index]] = outcome.result
                 if self.cache is not None:
                     self.cache.put(specs[index], outcome.result)
-                resolve(
-                    index,
-                    "simulated",
-                    outcome.wall_ms,
-                    checkpoint_hits=outcome.checkpoint_hits,
-                    resumed_from_events=outcome.resumed_from_events,
-                )
+                resolve(index, "simulated", outcome.telemetry)
 
             self._execute([specs[index] for index in pending], on_outcome)
 
@@ -867,11 +981,11 @@ class ParallelRunner:
             for target in (group, lifetime):
                 target.add("jobs")
                 target.add(counter)
-            if record.checkpoint_hits:
+            if record.telemetry.forked_from_events:
                 for target in (group, lifetime):
                     target.add("checkpoint_forks")
-                group.add("events_resumed", record.resumed_from_events)
-            group.record("job_wall_ms", record.wall_ms, bucket_width=100.0)
+                group.add("events_resumed", record.telemetry.forked_from_events)
+            group.record("job_wall_ms", record.telemetry.wall_ms, bucket_width=100.0)
         wall_clock_s = time.perf_counter() - started
         self.manifest = RunManifest(
             label=label,
@@ -887,196 +1001,23 @@ class ParallelRunner:
         """Simulate ``specs`` (parallel when possible), streaming outcomes.
 
         ``on_outcome(position, outcome)`` is called once per spec in list
-        order with each job's :class:`ExecutionOutcome` as it lands.
+        order with each job's :class:`Execution` as it lands.
         """
-        if self.checkpoints is not None:
-            # Imported lazily: the checkpoint store builds on this module.
-            from repro.experiments.checkpoints import (
-                DEFAULT_CHECKPOINT_INTERVAL_EVENTS,
-                checkpointed_jobs,
-            )
-
-            interval = (
-                DEFAULT_CHECKPOINT_INTERVAL_EVENTS
-                if self.checkpoint_interval_events is None
-                else self.checkpoint_interval_events
-            )
-            execute_one, payloads = checkpointed_jobs(
-                self.checkpoints,
-                interval,
-                specs,
-                save_milestones=self.checkpoint_save_milestones,
-            )
-        else:
-            execute_one, payloads = _execute_job, specs
+        execute_one = functools.partial(
+            _run_job,
+            store=self.checkpoints,
+            interval_events=self.checkpoint_interval_events,
+            save_milestones=self.checkpoint_save_milestones,
+        )
         context = _fork_context()
         workers = min(self.workers, len(specs))
         if workers <= 1 or context is None:
-            for position, payload in enumerate(payloads):
-                on_outcome(position, execute_one(payload))
+            for position, spec in enumerate(specs):
+                on_outcome(position, execute_one(spec))
             return
         with context.Pool(processes=workers) as pool:
             # imap (not map) so outcomes stream back in order as they land.
             for position, outcome in enumerate(
-                pool.imap(execute_one, payloads, chunksize=1)
+                pool.imap(execute_one, specs, chunksize=1)
             ):
                 on_outcome(position, outcome)
-
-
-@dataclass(frozen=True)
-class ControlledOutcome:
-    """What one controlled (interruptible) job execution produced.
-
-    ``status`` is ``"ok"`` (``result`` is set), ``"timeout"``,
-    ``"cancelled"`` or ``"error"`` (``error`` holds the reason).
-    ``sim_events`` counts kernel events executed by the simulation — the
-    PR-3 profiling hook, surfaced per job so a service can report live
-    events/sec without a profiler attached.  ``trace_cache_hits`` /
-    ``trace_cache_misses`` are the job's persistent trace-cache deltas
-    (how many front-end traces were reused vs generated), surfaced the
-    same way for the serving layer's ``/metrics``.
-    """
-
-    status: str
-    result: RunResult | None
-    wall_ms: float
-    sim_events: int = 0
-    error: str | None = None
-    trace_cache_hits: int = 0
-    trace_cache_misses: int = 0
-
-
-def _count_events(spec: JobSpec) -> tuple[RunResult, int, int, int]:
-    """Run one spec counting engine events and trace-cache hits/misses."""
-    from repro.experiments import trace_cache
-    from repro.sim.engine import Engine
-    from repro.sim.profiling import EventAccountant
-
-    accountant = EventAccountant()
-    previous = Engine.default_instrument
-    Engine.default_instrument = accountant
-    hits_before, misses_before = trace_cache.counters()
-    try:
-        result = spec.execute()
-    finally:
-        Engine.default_instrument = previous
-    hits_after, misses_after = trace_cache.counters()
-    return (
-        result,
-        accountant.events,
-        hits_after - hits_before,
-        misses_after - misses_before,
-    )
-
-
-def _controlled_child(connection, spec: JobSpec) -> None:
-    """Child-process entry point for :func:`run_spec_controlled`."""
-    try:
-        result, events, trace_hits, trace_misses = _count_events(spec)
-        connection.send(
-            ("ok", result_to_jsonable(result), events, trace_hits, trace_misses)
-        )
-    except BaseException as exc:  # report, never hang the parent
-        try:
-            connection.send(("error", f"{type(exc).__name__}: {exc}", 0, 0, 0))
-        except OSError:  # pragma: no cover - parent already gone
-            pass
-    finally:
-        connection.close()
-
-
-def run_spec_controlled(
-    spec: JobSpec,
-    timeout_s: float | None = None,
-    cancel: threading.Event | None = None,
-    poll_s: float = 0.02,
-) -> ControlledOutcome:
-    """Simulate one spec in a child process with timeout and cancellation.
-
-    The simulation runs in a forked child; the parent polls a result pipe,
-    the optional ``cancel`` event and the deadline, and terminates the
-    child on either — so a stuck or abandoned job releases its CPU instead
-    of running to completion.  The result travels back in the cache's JSON
-    form, making a controlled run bit-identical to a cached one.  On
-    platforms without ``fork`` the job runs inline (no mid-run
-    interruption; a pre-set ``cancel`` is still honoured).
-    """
-    started = time.perf_counter()
-    if cancel is not None and cancel.is_set():
-        return ControlledOutcome("cancelled", None, 0.0, error="cancelled before start")
-    context = _fork_context()
-    if context is None:  # pragma: no cover - platform-dependent fallback
-        try:
-            result, events, trace_hits, trace_misses = _count_events(spec)
-        except Exception as exc:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            return ControlledOutcome(
-                "error", None, wall_ms, error=f"{type(exc).__name__}: {exc}"
-            )
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        return ControlledOutcome(
-            "ok",
-            result,
-            wall_ms,
-            sim_events=events,
-            trace_cache_hits=trace_hits,
-            trace_cache_misses=trace_misses,
-        )
-
-    parent_conn, child_conn = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_controlled_child, args=(child_conn, spec), daemon=True
-    )
-    process.start()
-    child_conn.close()
-    deadline = None if timeout_s is None else started + float(timeout_s)
-    payload = None
-    status = "error"
-    try:
-        while True:
-            if parent_conn.poll(poll_s):
-                try:
-                    payload = parent_conn.recv()
-                except EOFError:
-                    payload = (
-                        "error",
-                        "worker exited without reporting a result",
-                        0,
-                        0,
-                        0,
-                    )
-                break
-            if cancel is not None and cancel.is_set():
-                status = "cancelled"
-                break
-            if deadline is not None and time.perf_counter() >= deadline:
-                status = "timeout"
-                break
-            if not process.is_alive() and not parent_conn.poll(0):
-                payload = ("error", "worker died before reporting a result", 0, 0, 0)
-                break
-    finally:
-        if payload is None:
-            process.terminate()
-        process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - terminate() was ignored
-            process.kill()
-            process.join(timeout=5.0)
-        parent_conn.close()
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    if payload is None:
-        reason = "cancelled by request" if status == "cancelled" else (
-            f"timed out after {timeout_s:.3f} s"
-        )
-        return ControlledOutcome(status, None, wall_ms, error=reason)
-    kind, body, events, trace_hits, trace_misses = payload
-    if kind == "ok":
-        return ControlledOutcome(
-            "ok",
-            result_from_jsonable(body),
-            wall_ms,
-            sim_events=int(events),
-            trace_cache_hits=int(trace_hits),
-            trace_cache_misses=int(trace_misses),
-        )
-    return ControlledOutcome("error", None, wall_ms, error=str(body))

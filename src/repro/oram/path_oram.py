@@ -114,7 +114,10 @@ class PathOram:
         self.num_blocks = num_blocks
         self.stash_limit = stash_limit
         self.position_map = PositionMap(self.num_leaves, rng.fork("posmap"))
-        self._buckets = [Bucket(bucket_size) for _ in range(self.num_buckets)]
+        #: Buckets allocated on first touch (heap index -> bucket), so a
+        #: paper-scale tree (2^25 buckets at L=24) costs memory only for the
+        #: paths actually accessed.  Allocation draws no randomness.
+        self._buckets: dict[int, Bucket] = {}
         self.stash: dict[int, OramBlock] = {}
         self.stats = stats or StatGroup("path_oram")
         self.max_stash_seen = 0
@@ -141,6 +144,13 @@ class PathOram:
         """Public accessor used by tests and invariant checks."""
         return self._path_indices(leaf)
 
+    def _bucket(self, index: int) -> Bucket:
+        """The bucket at heap ``index``, allocated empty on first touch."""
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = Bucket(self.bucket_size)
+        return bucket
+
     # ------------------------------------------------------------------
 
     def access(self, address: int, write_data: bytes | None = None) -> bytes | None:
@@ -158,7 +168,7 @@ class PathOram:
 
         # Step 1: read every block on the path into the stash.
         for index in path:
-            bucket = self._buckets[index]
+            bucket = self._bucket(index)
             for block in bucket.blocks:
                 self.stash[block.address] = block
             self.stats.add("blocks_read", self.bucket_size)
@@ -177,7 +187,7 @@ class PathOram:
         # Step 3: write the path back, greedily evicting stash blocks to the
         # deepest bucket they may legally occupy (path intersection rule).
         for depth in range(len(path) - 1, -1, -1):
-            bucket = self._buckets[path[depth]]
+            bucket = self._bucket(path[depth])
             candidates = [
                 block
                 for block in self.stash.values()
@@ -210,9 +220,12 @@ class PathOram:
     # ------------------------------------------------------------------
 
     def check_invariant(self) -> None:
-        """Assert the Path ORAM invariant for every mapped block."""
+        """Assert the Path ORAM invariant for every mapped block.
+
+        Walks only the allocated buckets: an untouched one is empty.
+        """
         located: dict[int, str] = {}
-        for index, bucket in enumerate(self._buckets):
+        for index, bucket in self._buckets.items():
             for block in bucket.blocks:
                 located[block.address] = f"bucket{index}"
                 if index not in self._path_indices(block.leaf):

@@ -12,13 +12,14 @@ The moving parts:
 * :func:`_pool_worker_main` — the worker-process loop: receive a spec and
   a wall-clock budget, probe the shared on-disk
   :class:`~repro.experiments.executor.ResultCache`, simulate on a miss
-  (with event accounting), persist, reply.  With a cache directory the
-  worker also holds a :class:`~repro.experiments.checkpoints.
-  CheckpointStore`: a budgeted job that cannot finish in time is
-  *checkpointed and preempted* — the worker snapshots the live
-  :class:`~repro.system.world.SimWorld`, persists it, and replies
-  ``preempted`` instead of being killed; the job requeues and its next
-  slice resumes from the snapshot.
+  through :func:`~repro.experiments.executor.execute`, persist, reply
+  with the run's :class:`~repro.experiments.executor.Telemetry`.  With a
+  cache directory the worker also holds a :class:`~repro.experiments.
+  checkpoints.CheckpointStore`: a budgeted job that cannot finish in time
+  is *checkpointed and preempted* — ``execute`` snapshots the live
+  :class:`~repro.system.world.SimWorld` and persists it, and the worker
+  replies ``preempted`` instead of being killed; the job requeues and its
+  next slice resumes from the snapshot.
 * :class:`WorkerHandle` — the supervisor's view of one worker slot:
   process, pipe, current job, deadline, restart/completion counters.
 * :class:`WorkerPool` — the supervisor: shards queued jobs by spec digest,
@@ -45,6 +46,7 @@ evict concurrently without double-unlinking or corrupting entries.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import multiprocessing.connection
 import threading
@@ -53,91 +55,43 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.experiments import trace_cache
-from repro.experiments.checkpoints import CheckpointStore, world_for_spec
+from repro.experiments.checkpoints import CheckpointStore
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
     _fork_context,
     ResultCache,
+    Telemetry,
+    execute,
     result_to_jsonable,
 )
 from repro.serve.jobs import Job
 
-#: Kernel events between wall-clock budget checks while a budgeted job
-#: runs — small enough that a slice overshoots its budget by milliseconds,
-#: large enough that the check never shows up in a profile.
-PREEMPT_SLICE_EVENTS = 20_000
 
-
-def _simulate_sliced(spec, store, budget_s):
-    """Run ``spec`` with event accounting, preempting at the wall budget.
-
-    Resumes from the deepest usable snapshot in ``store`` when one exists.
-    Returns ``(result, events, trace_hits, trace_misses, ckpt_hits,
-    ckpt_misses)`` — ``result`` is None when the budget expired before the
-    simulation finished, in which case the live world was checkpointed to
-    ``store`` so the next slice can resume it.  Without a store or budget
-    this degrades to a plain start-to-finish run.
-    """
-    from repro.sim.engine import Engine
-    from repro.sim.profiling import EventAccountant
-
-    accountant = EventAccountant()
-    previous = Engine.default_instrument
-    Engine.default_instrument = accountant
-    hits_before, misses_before = trace_cache.counters()
-    deadline = None if budget_s is None else time.perf_counter() + float(budget_s)
-    try:
-        world, forked_from = world_for_spec(spec, store)
-        ckpt_hits, ckpt_misses = (0, 0)
-        if store is not None:
-            ckpt_hits, ckpt_misses = (1, 0) if forked_from else (0, 1)
-        finished = False
-        if deadline is None or store is None:
-            world.run()
-            finished = True
-        else:
-            while True:
-                if world.run(stop_after_events=PREEMPT_SLICE_EVENTS):
-                    finished = True
-                    break
-                if time.perf_counter() >= deadline:
-                    try:
-                        store.put(spec, world.snapshot())
-                    except Exception:
-                        continue  # cannot persist progress: keep simulating
-                    break
-    finally:
-        Engine.default_instrument = previous
-    hits_after, misses_after = trace_cache.counters()
-    return (
-        world.result() if finished else None,
-        accountant.events,
-        hits_after - hits_before,
-        misses_after - misses_before,
-        ckpt_hits,
-        ckpt_misses,
-    )
+def _stamped(telemetry: Telemetry, started: float) -> Telemetry:
+    """``telemetry`` with its wall clock widened to the worker's whole reply."""
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    return dataclasses.replace(telemetry, wall_ms=wall_ms)
 
 
 def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
     """Entry point of one persistent worker process.
 
     Loops forever: receive ``("run", job_id, spec, budget_s)``, resolve it
-    through the shared on-disk cache or a fresh simulation (with
-    kernel-event and trace-cache accounting), persist a fresh result, and
-    reply with one of::
+    through the shared on-disk cache or a fresh simulation, persist a fresh
+    result, and reply with one of::
 
-        ("ok", job_id, source, result_json, wall_ms,
-         events, trace_hits, trace_misses, ckpt_hits, ckpt_misses)
-        ("preempted", job_id, events, wall_ms, ckpt_hits, ckpt_misses)
-        ("error", job_id, message, wall_ms)
+        ("ok", job_id, source, result_json, telemetry)
+        ("preempted", job_id, telemetry)
+        ("error", job_id, message, telemetry)
 
-    ``preempted`` means the wall budget expired first: the worker
-    checkpointed the live world to the shared store and stayed healthy —
-    the supervisor requeues the job and a later slice resumes it.  A
-    ``("stop",)`` message — or the pipe closing — ends the loop.  The
-    worker never exits on a job failure: exceptions travel back as
-    ``error`` replies.
+    ``telemetry`` is the :class:`~repro.experiments.executor.Telemetry`
+    of the slice, its ``wall_ms`` covering the result-cache probe and put
+    as well as the simulation.  ``preempted`` means the wall budget
+    expired first: the worker checkpointed the live world to the shared
+    store and stayed healthy — the supervisor requeues the job and a later
+    slice resumes it.  A ``("stop",)`` message — or the pipe closing —
+    ends the loop.  The worker never exits on a job failure: exceptions
+    travel back as ``error`` replies.
     """
     trace_cache.sync(
         enabled=cache_dir is not None,
@@ -161,42 +115,22 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
         try:
             cached = None if cache is None else cache.get(spec)
             if cached is not None:
-                wall_ms = (time.perf_counter() - started) * 1000.0
                 payload = result_to_jsonable(cached)
-                reply = ("ok", job_id, "disk", payload, wall_ms, 0, 0, 0, 0, 0)
+                reply = ("ok", job_id, "disk", payload, _stamped(Telemetry(), started))
             else:
-                result, events, trace_hits, trace_misses, ckpt_hits, ckpt_misses = (
-                    _simulate_sliced(spec, store, budget_s)
-                )
-                if result is None:
-                    wall_ms = (time.perf_counter() - started) * 1000.0
-                    reply = (
-                        "preempted",
-                        job_id,
-                        events,
-                        wall_ms,
-                        ckpt_hits,
-                        ckpt_misses,
-                    )
+                # () never saves periodically: only a preemption persists.
+                run = execute(spec, store=store, save_milestones=(), budget_s=budget_s)
+                if run.telemetry.preempted:
+                    reply = ("preempted", job_id, _stamped(run.telemetry, started))
                 else:
                     if cache is not None:
-                        cache.put(spec, result)
-                    wall_ms = (time.perf_counter() - started) * 1000.0
-                    reply = (
-                        "ok",
-                        job_id,
-                        "simulated",
-                        result_to_jsonable(result),
-                        wall_ms,
-                        events,
-                        trace_hits,
-                        trace_misses,
-                        ckpt_hits,
-                        ckpt_misses,
-                    )
+                        cache.put(spec, run.result)
+                    payload = result_to_jsonable(run.result)
+                    telemetry = _stamped(run.telemetry, started)
+                    reply = ("ok", job_id, "simulated", payload, telemetry)
         except Exception as exc:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            reply = ("error", job_id, f"{type(exc).__name__}: {exc}", wall_ms)
+            message = f"{type(exc).__name__}: {exc}"
+            reply = ("error", job_id, message, _stamped(Telemetry(), started))
         try:
             connection.send(reply)
         except (OSError, ValueError):
@@ -216,21 +150,15 @@ class PoolOutcome:
     found it on disk), ``"timeout"``, ``"cancelled"`` or ``"failed"``
     (``error`` holds the reason).  Results travel as JSON payloads — the
     same round trip the cache performs — so a pooled result is
-    bit-identical to a cached one.
+    bit-identical to a cached one.  ``telemetry`` is the finishing
+    worker slice's record (all zero when no worker replied).
     """
 
     status: str
     source: str | None = None
     result_payload: dict | None = None
     error: str | None = None
-    wall_ms: float = 0.0
-    sim_events: int = 0
-    trace_cache_hits: int = 0
-    trace_cache_misses: int = 0
-    #: Checkpoint-store probes by the finishing slice: 1/0 when the worker
-    #: resumed from a stored snapshot, 0/1 when it had to start cold.
-    checkpoint_hits: int = 0
-    checkpoint_misses: int = 0
+    telemetry: Telemetry = field(default_factory=Telemetry)
     worker: int | None = None
 
 
@@ -287,9 +215,10 @@ class WorkerPool:
       another (including "cancelled while queued");
     * ``on_requeue(job)`` — the job's worker died and the job went back
       to the front of its shard (``job.attempts`` was incremented);
-    * ``on_preempted(job, events, wall_ms, ckpt_hits, ckpt_misses)`` — the
-      job's wall budget expired, the worker checkpointed it, and it went
-      back to the front of its shard (``job.preemptions`` incremented).
+    * ``on_preempted(job, telemetry)`` — the job's wall budget expired,
+      the worker checkpointed it, and it went back to the front of its
+      shard (``job.preemptions`` incremented); ``telemetry`` is the
+      preempted slice's record.
 
     Preemption is active only when the pool has a ``cache_dir`` to hold
     checkpoints; without one, a job past its deadline is killed exactly as
@@ -324,9 +253,7 @@ class WorkerPool:
         self._on_running = on_running or (lambda job, worker: None)
         self._on_outcome = on_outcome or (lambda job, outcome: None)
         self._on_requeue = on_requeue or (lambda job: None)
-        self._on_preempted = on_preempted or (
-            lambda job, events, wall_ms, hits, misses: None
-        )
+        self._on_preempted = on_preempted or (lambda job, telemetry: None)
         self._context = _fork_context() or multiprocessing.get_context()
         self._lock = threading.Lock()
         self._shards: list[deque[Job]] = [deque() for _ in range(self.workers)]
@@ -550,39 +477,23 @@ class WorkerPool:
         if not isinstance(payload, tuple) or len(payload) < 2 or payload[1] != job.id:
             return False  # stale or malformed reply: drop it
         if payload[0] == "ok":
-            (
-                _kind,
-                _job_id,
-                source,
-                result_payload,
-                wall_ms,
-                events,
-                hits,
-                misses,
-                ckpt_hits,
-                ckpt_misses,
-            ) = payload
+            _kind, _job_id, source, result_payload, telemetry = payload
             outcome = PoolOutcome(
                 status="ok",
                 source=str(source),
                 result_payload=result_payload,
-                wall_ms=float(wall_ms),
-                sim_events=int(events),
-                trace_cache_hits=int(hits),
-                trace_cache_misses=int(misses),
-                checkpoint_hits=int(ckpt_hits),
-                checkpoint_misses=int(ckpt_misses),
+                telemetry=telemetry,
                 worker=handle.index,
             )
         elif payload[0] == "preempted":
-            self._preempt(handle, payload)
+            self._preempt(handle, payload[2])
             return True
         else:
-            _kind, _job_id, message, wall_ms = payload
+            _kind, _job_id, message, telemetry = payload
             outcome = PoolOutcome(
                 status="failed",
                 error=str(message),
-                wall_ms=float(wall_ms),
+                telemetry=telemetry,
                 worker=handle.index,
             )
         handle.job = None
@@ -591,7 +502,7 @@ class WorkerPool:
         self._emit(job, outcome)
         return True
 
-    def _preempt(self, handle: WorkerHandle, payload: tuple) -> None:
+    def _preempt(self, handle: WorkerHandle, telemetry: Telemetry) -> None:
         """A worker checkpointed its job at the budget: requeue, not kill.
 
         The job goes back to the *front* of its home shard so it resumes
@@ -599,15 +510,12 @@ class WorkerPool:
         outcome (the worker stays alive either way).  A cancellation that
         raced the preemption resolves to cancelled here.
         """
-        _kind, _job_id, events, wall_ms, ckpt_hits, ckpt_misses = payload
         job, handle.job = handle.job, None
         handle.deadline = None
         job.preemptions += 1
         self._preemptions += 1
         try:
-            self._on_preempted(
-                job, int(events), float(wall_ms), int(ckpt_hits), int(ckpt_misses)
-            )
+            self._on_preempted(job, telemetry)
         except Exception:  # pragma: no cover - defensive
             pass
         if job.cancel.is_set():

@@ -56,6 +56,7 @@ from repro.experiments.executor import (
     JobSpec,
     ParallelRunner,
     ResultCache,
+    Telemetry,
     result_from_jsonable,
 )
 from repro.sim.statistics import StatRegistry
@@ -369,22 +370,11 @@ class SimulationService:
             # The worker already persisted the entry; only the in-process
             # memory layer needs feeding here.
             self.runner.memory[job.digest] = result
-            if outcome.source == "simulated":
-                self._sim_events_total += outcome.sim_events
-                self._sim_wall_ms_total += outcome.wall_ms
-                self._trace_cache_hits_total += outcome.trace_cache_hits
-                self._trace_cache_misses_total += outcome.trace_cache_misses
-                self._checkpoint_hits_total += outcome.checkpoint_hits
-                self._checkpoint_misses_total += outcome.checkpoint_misses
-            # Adding onto the job's own counters keeps a preempted job's
-            # record cumulative across its slices (identity for the rest).
+            self._fold_telemetry(
+                job, outcome.telemetry, simulated=outcome.source == "simulated"
+            )
             await self.board.advance(
-                job,
-                JobState.DONE,
-                source=outcome.source,
-                result=result,
-                wall_ms=job.wall_ms + outcome.wall_ms,
-                sim_events=job.sim_events + outcome.sim_events,
+                job, JobState.DONE, source=outcome.source, result=result
             )
             serve.add("completed")
             if outcome.source == "simulated":
@@ -411,9 +401,8 @@ class SimulationService:
             "timeout": JobState.TIMEOUT,
             "cancelled": JobState.CANCELLED,
         }.get(outcome.status, JobState.FAILED)
-        await self.board.advance(
-            job, state, error=outcome.error, wall_ms=job.wall_ms + outcome.wall_ms
-        )
+        self._fold_telemetry(job, outcome.telemetry, simulated=False)
+        await self.board.advance(job, state, error=outcome.error)
         serve.add(
             {"timeout": "timeouts", "cancelled": "cancelled"}.get(
                 outcome.status, "failed"
@@ -454,31 +443,39 @@ class SimulationService:
         """Pool callback: ``job`` finished (ok/failed/timeout/cancelled)."""
         self._schedule(self._finish_pooled(job, outcome))
 
-    def _pool_preempted(
-        self, job: Job, events: int, wall_ms: float, ckpt_hits: int, ckpt_misses: int
-    ) -> None:
+    def _pool_preempted(self, job: Job, telemetry: Telemetry) -> None:
         """Pool callback: ``job`` was checkpointed at its budget, requeued."""
-        self._schedule(
-            self._mark_preempted(job, events, wall_ms, ckpt_hits, ckpt_misses)
-        )
+        self._schedule(self._mark_preempted(job, telemetry))
 
-    async def _mark_preempted(
-        self, job: Job, events: int, wall_ms: float, ckpt_hits: int, ckpt_misses: int
-    ) -> None:
+    async def _mark_preempted(self, job: Job, telemetry: Telemetry) -> None:
         """Record one preemption slice: counters plus the PREEMPTED state.
 
-        The slice's kernel events and wall-clock fold into the simulation
-        totals as they happen, so a long job's progress is visible in
-        ``/metrics`` while it is still being resumed slice after slice.
+        The slice's telemetry folds into the simulation totals as it
+        happens, so a long job's progress is visible in ``/metrics`` while
+        it is still being resumed slice after slice.
         """
         self.stats.group("serve").add("preempted")
-        self._sim_events_total += events
-        self._sim_wall_ms_total += wall_ms
-        self._checkpoint_hits_total += ckpt_hits
-        self._checkpoint_misses_total += ckpt_misses
-        job.sim_events += events
-        job.wall_ms += wall_ms
+        self._fold_telemetry(job, telemetry)
         await self.board.advance(job, JobState.PREEMPTED)
+
+    def _fold_telemetry(
+        self, job: Job, telemetry: Telemetry, simulated: bool = True
+    ) -> None:
+        """Add one worker slice's telemetry to its job and to ``/metrics``.
+
+        The job's ``wall_ms``/``sim_events`` accumulate across preempted
+        slices; the service-wide totals count only slices that simulated.
+        """
+        job.wall_ms += telemetry.wall_ms
+        job.sim_events += telemetry.sim_events
+        if not simulated:
+            return
+        self._sim_events_total += telemetry.sim_events
+        self._sim_wall_ms_total += telemetry.wall_ms
+        self._trace_cache_hits_total += telemetry.trace_cache_hits
+        self._trace_cache_misses_total += telemetry.trace_cache_misses
+        self._checkpoint_hits_total += int(telemetry.forked_from_events > 0)
+        self._checkpoint_misses_total += telemetry.checkpoint_misses
 
     # -- observability -------------------------------------------------------
 

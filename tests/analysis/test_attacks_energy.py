@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.analysis.attacks import (
-    EcbAddressObfuscation,
+from repro.attacks.dictionary import EcbAddressObfuscation, dictionary_attack
+from repro.attacks.tamper import (
     command_bitflip_attack,
     data_tamper_attack,
-    dictionary_attack,
     injection_attack,
     message_drop_attack,
     replay_attack,

@@ -17,6 +17,7 @@ from repro.experiments.executor import (
     JobSpec,
     ResultCache,
     RunManifest,
+    Telemetry,
 )
 from repro.system.config import ProtectionLevel
 
@@ -138,7 +139,7 @@ class TestManifestSchema:
             num_requests=50,
             seed=1,
             source="simulated",
-            wall_ms=1.5,
+            telemetry=Telemetry(wall_ms=1.5),
         )
         return RunManifest(
             label="test-sweep",

@@ -8,11 +8,23 @@ from repro.errors import CheckpointError
 from repro.experiments.checkpoints import (
     KEEP_PER_FAMILY,
     CheckpointStore,
-    build_world,
-    execute_with_checkpoints,
     world_for_spec,
 )
-from repro.experiments.executor import JobSpec, ParallelRunner, ResultCache
+from repro.experiments.executor import JobSpec, ParallelRunner, ResultCache, execute
+from repro.sim.engine import Engine
+from repro.sim.profiling import EventAccountant
+
+from tests.system.test_golden_determinism import GOLDEN
+
+#: Every scheme of the golden determinism grid.
+GOLDEN_SCHEMES = sorted(
+    {
+        cell.rsplit("/", 1)[1]
+        for key, grid in GOLDEN.items()
+        if key.startswith("execution_time_ns")
+        for cell in grid
+    }
+)
 
 
 def spec(n=300, **overrides) -> JobSpec:
@@ -22,7 +34,7 @@ def spec(n=300, **overrides) -> JobSpec:
 
 
 def snapshot_at(job: JobSpec, events: int):
-    world = build_world(job)
+    world, _ = world_for_spec(job, None)
     world.run(stop_after_events=events)
     return world.snapshot()
 
@@ -61,7 +73,7 @@ class TestStore:
     def test_finished_worlds_are_refused(self, tmp_path):
         store = CheckpointStore(tmp_path)
         job = spec(n=100)
-        world = build_world(job)
+        world, _ = world_for_spec(job, None)
         world.run()
         with pytest.raises(CheckpointError, match="finished"):
             store.put(job, world.snapshot())
@@ -118,29 +130,52 @@ class TestStore:
         assert forked_from == 0
         assert not path.exists()  # the poisoned entry was evicted
         world.run()
-        assert world.result().stats == execute_with_checkpoints(job, None).result.stats
+        assert world.result().stats == execute(job).result.stats
 
 
+def accounted(job: JobSpec):
+    """``execute(job)`` with an :class:`EventAccountant` counting every event."""
+    accountant = EventAccountant()
+    previous = Engine.default_instrument
+    Engine.default_instrument = accountant
+    try:
+        run = execute(job)
+    finally:
+        Engine.default_instrument = previous
+    return run, accountant.events
+
+
+#: Periodic-save interval: ORAM schemes run ~2 events per request, so a
+#: 300-request run must pause well below 600 events to leave a snapshot.
+INTERVAL = 200
+
+
+@pytest.mark.parametrize("level", GOLDEN_SCHEMES)
 class TestExecuteWithCheckpoints:
-    def test_cold_and_warm_agree_bit_for_bit(self, tmp_path):
+    def test_cold_and_warm_agree_bit_for_bit(self, tmp_path, level):
         store = CheckpointStore(tmp_path)
-        cold = execute_with_checkpoints(spec(), None)
-        assert cold.forked_from_events == 0
-        seeded = execute_with_checkpoints(spec(), store, interval_events=600)
-        assert seeded.checkpoints_saved >= 1
-        warm = execute_with_checkpoints(spec(n=600), store, interval_events=600)
-        assert warm.forked_from_events > 0
-        colder = execute_with_checkpoints(spec(n=600), None)
-        assert warm.result.execution_time_ns == colder.result.execution_time_ns
-        assert warm.result.stats == colder.result.stats
-        assert cold.result.stats == execute_with_checkpoints(spec(), store).result.stats
+        cold, cold_events = accounted(spec(level=level))
+        assert cold.telemetry.forked_from_events == 0
+        assert cold.telemetry.sim_events == cold_events
+        seeded = execute(spec(level=level), store=store, interval_events=INTERVAL)
+        assert seeded.telemetry.checkpoints_saved >= 1
+        warm = execute(spec(n=600, level=level), store=store, interval_events=INTERVAL)
+        assert warm.telemetry.forked_from_events > 0
+        colder, colder_events = accounted(spec(n=600, level=level))
+        assert colder.telemetry.sim_events == colder_events
+        assert (
+            warm.telemetry.forked_from_events + warm.telemetry.sim_events
+            == colder.telemetry.sim_events
+        )
+        assert warm.result == colder.result
+        assert cold.result == execute(spec(level=level), store=store).result
 
-    def test_warm_run_skips_the_forked_events(self, tmp_path):
+    def test_warm_run_skips_the_forked_events(self, tmp_path, level):
         store = CheckpointStore(tmp_path)
-        execute_with_checkpoints(spec(), store, interval_events=600)
-        warm = execute_with_checkpoints(spec(n=600), store, interval_events=600)
-        cold = execute_with_checkpoints(spec(n=600), None)
-        assert warm.events_executed < cold.events_executed
+        execute(spec(level=level), store=store, interval_events=INTERVAL)
+        warm = execute(spec(n=600, level=level), store=store, interval_events=INTERVAL)
+        cold = execute(spec(n=600, level=level))
+        assert warm.telemetry.sim_events < cold.telemetry.sim_events
 
 
 class TestRunnerIntegration:
@@ -160,3 +195,36 @@ class TestRunnerIntegration:
             assert a.stats == b.stats
         # The sweep left reusable snapshots behind for future longer runs.
         assert store.deepest(spec(n=800)) is not None
+
+
+class FailingStore(CheckpointStore):
+    """A store whose every save fails, counting the attempts."""
+
+    attempts = 0
+
+    def put(self, spec, checkpoint):
+        self.attempts += 1
+        raise CheckpointError("disk full")
+
+
+class TestWallBudget:
+    """A job longer than one preemption slice (~31k kernel events)."""
+
+    def test_expired_budget_preempts_then_resumes_bit_identically(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        job = spec(n=3000)
+        sliced = execute(job, store=store, budget_s=0.0)
+        assert sliced.telemetry.preempted and sliced.result is None
+        assert sliced.telemetry.checkpoints_saved == 1
+        resumed = execute(job, store=store, save_milestones=())
+        assert resumed.telemetry.forked_from_events == sliced.telemetry.sim_events
+        assert resumed.result == execute(job).result
+
+    def test_failed_preemption_save_runs_to_completion(self, tmp_path):
+        store = FailingStore(tmp_path)
+        job = spec(n=3000)
+        run = execute(job, store=store, budget_s=0.0)
+        assert not run.telemetry.preempted
+        assert run.telemetry.checkpoints_saved == 0
+        assert store.attempts == 1  # the budget was dropped after one failure
+        assert run.result == execute(job).result

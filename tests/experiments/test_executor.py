@@ -25,6 +25,7 @@ from repro.experiments.executor import (
     ParallelRunner,
     ResultCache,
     RunManifest,
+    Telemetry,
     drain_sweep_warnings,
     result_from_jsonable,
     result_to_jsonable,
@@ -170,7 +171,7 @@ class TestParallelRunner:
         assert manifest.jobs == 3
         assert manifest.cache_misses == 3
         assert all(r.source == "simulated" for r in manifest.records)
-        assert all(r.wall_ms > 0 for r in manifest.records)
+        assert all(r.telemetry.wall_ms > 0 for r in manifest.records)
 
         rewarmed = ParallelRunner(workers=2, cache=cache)
         rewarmed.run(self.SPECS, label="second")
@@ -199,7 +200,7 @@ class TestParallelRunner:
 class TestWarmStartProvenance:
     """Checkpoint forks must be auditable from the manifest (not invisible)."""
 
-    def _record(self, digest="d", hits=0, resumed=0, source="simulated"):
+    def _record(self, digest="d", resumed=0, source="simulated"):
         return JobRecord(
             digest=digest,
             benchmark="astar",
@@ -209,9 +210,7 @@ class TestWarmStartProvenance:
             num_requests=300,
             seed=7,
             source=source,
-            wall_ms=1.5,
-            checkpoint_hits=hits,
-            resumed_from_events=resumed,
+            telemetry=Telemetry(wall_ms=1.5, forked_from_events=resumed),
         )
 
     def test_manifest_aggregates_checkpoint_provenance(self):
@@ -220,8 +219,8 @@ class TestWarmStartProvenance:
             workers=1,
             records=[
                 self._record("a"),
-                self._record("b", hits=1, resumed=4000),
-                self._record("c", hits=1, resumed=2500),
+                self._record("b", resumed=4000),
+                self._record("c", resumed=2500),
             ],
             wall_clock_s=0.1,
         )
@@ -232,7 +231,7 @@ class TestWarmStartProvenance:
         manifest = RunManifest(
             label="warm",
             workers=2,
-            records=[self._record("a", hits=1, resumed=1234)],
+            records=[self._record("a", resumed=1234)],
             wall_clock_s=0.2,
             warnings=["axis 'levels': dropped 1 duplicate value(s)"],
         )
@@ -266,15 +265,14 @@ class TestWarmStartProvenance:
         )
         seeder.run([_spec(num_requests=300)], label="seed")
         (record,) = seeder.manifest.records
-        assert record.checkpoint_hits == 0 and record.resumed_from_events == 0
+        assert record.telemetry.forked_from_events == 0
 
         forker = ParallelRunner(workers=1, checkpoints=store)
         forker.run([_spec(num_requests=600)], label="fork")
         (record,) = forker.manifest.records
-        assert record.checkpoint_hits == 1
-        assert record.resumed_from_events > 0
+        assert record.telemetry.forked_from_events > 0
         assert forker.manifest.checkpoint_hits == 1
-        assert forker.manifest.events_resumed == record.resumed_from_events
+        assert forker.manifest.events_resumed == record.telemetry.forked_from_events
 
 
 class TestSweepSpecsCanonicalization:

@@ -109,7 +109,7 @@ class TestExecution:
             pool.stop()
         assert outcome.status == "ok"
         assert outcome.source == "simulated"
-        assert outcome.sim_events > 0
+        assert outcome.telemetry.sim_events > 0
         assert outcome.result_payload == result_to_jsonable(fast_jobspec().execute())
         probe.wait_running(job.id)  # on_running fired before the outcome
 

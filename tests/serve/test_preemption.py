@@ -33,9 +33,9 @@ class PreemptProbe(PoolProbe):
         super().__init__()
         self.preempted = []
 
-    def on_preempted(self, job, events, wall_ms, ckpt_hits, ckpt_misses):
+    def on_preempted(self, job, telemetry):
         with self._changed:
-            self.preempted.append((job.id, events, wall_ms, ckpt_hits, ckpt_misses))
+            self.preempted.append((job.id, telemetry))
             self._changed.notify_all()
 
 
@@ -72,10 +72,10 @@ class TestPoolPreemption:
         assert fleet["kills_total"] == 0
         assert fleet["preemptions_total"] == job.preemptions
         # The finishing slice resumed from a stored snapshot.
-        assert outcome.checkpoint_hits == 1
+        assert outcome.telemetry.forked_from_events > 0
         # Preempted slices reported real progress.
-        for _job_id, events, _wall, _hits, _misses in probe.preempted:
-            assert events > 0
+        for _job_id, telemetry in probe.preempted:
+            assert telemetry.sim_events > 0
         # And the stitched-together result is the cold result, bit for bit.
         direct = long_jobspec(seed=71).execute()
         assert outcome.result_payload == result_to_jsonable(direct)
@@ -173,6 +173,31 @@ class TestServicePreemption:
                 assert 0.0 < metrics["checkpoint_hit_ratio"] < 1.0
                 assert metrics["counters"]["serve.preempted"] == job.preemptions
                 assert metrics["worker_kills"] == 0
+            finally:
+                await service.drain()
+
+        asyncio.run(scenario())
+
+    def test_preempted_slices_report_their_trace_cache_misses(self, tmp_path):
+        """The slice that generated the traces counts them, preempted or not."""
+
+        async def scenario():
+            service = SimulationService(
+                ServiceConfig(
+                    workers=1,
+                    cache_dir=tmp_path / "cache",
+                    default_timeout_s=0.08,
+                )
+            )
+            await service.start()
+            try:
+                job = service.submit(long_jobspec(seed=83))
+                assert await service.board.wait(job, timeout_s=120.0)
+                assert job.state is JobState.DONE
+                assert job.preemptions >= 1
+                # Only the first slice generated traces; every resume forked
+                # a same-length snapshot and fetched none.
+                assert service.metrics()["trace_cache_misses"] >= 1
             finally:
                 await service.drain()
 
