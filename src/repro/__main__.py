@@ -19,13 +19,14 @@ to the sweep's run manifest (``<cache-dir>/manifests/<label>.profile.*``).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import sys
 
 from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
 from repro.errors import ConfigurationError
 from repro.schemes import add_scheme_arguments, format_scheme_list, get_scheme
-from repro.system.config import MachineConfig, ProtectionLevel
-from repro.system.simulator import run_benchmark
+from repro.system.config import MachineConfig
 
 _EXPERIMENTS = (
     "table1",
@@ -53,6 +54,9 @@ def _cmd_list(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
+    from repro.experiments.executor import DEFAULT_CACHE_DIR, JobSpec, execute
+    from repro.sim import profiling
+
     if args.benchmark not in SPEC_PROFILES:
         raise SystemExit(f"unknown benchmark {args.benchmark!r}; try 'list'")
     try:
@@ -62,34 +66,23 @@ def _cmd_run(args: argparse.Namespace) -> None:
     except ConfigurationError as error:
         raise SystemExit(str(error))
     machine = MachineConfig(channels=args.channels)
-    profile = SPEC_PROFILES[args.benchmark]
-    if args.profile:
-        from repro.experiments.executor import DEFAULT_CACHE_DIR
-        from repro.sim import profiling
-
-        with profiling.capture() as session:
-            result = run_benchmark(
-                profile,
-                level,
-                machine=machine,
-                num_requests=args.requests,
-                seed=args.seed,
-                cores=args.cores,
-            )
+    spec = JobSpec(
+        benchmark=args.benchmark,
+        level=args.level,
+        machine=machine,
+        num_requests=args.requests,
+        seed=args.seed,
+        cores=args.cores,
+    )
+    capture = profiling.capture() if args.profile else contextlib.nullcontext()
+    with capture as session:
+        result = execute(spec).result
+    if session is not None:
         label = f"run_{args.benchmark}_{level.name}"
         json_path, text_path = session.write_reports(
             DEFAULT_CACHE_DIR / "manifests", label
         )
         print(f"profile reports  : {json_path} / {text_path}")
-    else:
-        result = run_benchmark(
-            profile,
-            level,
-            machine=machine,
-            num_requests=args.requests,
-            seed=args.seed,
-            cores=args.cores,
-        )
     print(f"benchmark        : {args.benchmark}")
     print(f"scheme           : {level.name} ({level.stack_summary()})")
     print(f"channels / cores : {args.channels} / {args.cores}")
@@ -98,14 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     print(f"avg request gap  : {result.average_gap_ns:.1f} ns")
     print(f"IPC              : {result.ipc(machine.cpu_clock_ghz):.2f}")
     if args.baseline:
-        baseline = run_benchmark(
-            profile,
-            ProtectionLevel.UNPROTECTED,
-            machine=machine,
-            num_requests=args.requests,
-            seed=args.seed,
-            cores=args.cores,
-        )
+        baseline = execute(dataclasses.replace(spec, level="unprotected")).result
         print(f"overhead         : {result.overhead_pct(baseline):+.1f}% vs unprotected")
     if args.stats:
         for key in sorted(result.stats):
@@ -186,6 +172,7 @@ def _cmd_attacks(args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
     from repro.experiments.checkpoints import CheckpointStore
+    from repro.experiments.executor import ResultCache
     from repro.experiments.export import write_pareto
     from repro.experiments.pareto import ParetoAggregator
     from repro.experiments.runner import configure_from_args, get_config
@@ -209,13 +196,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         print(f"  note: {warning}")
     if args.dry_run:
         return
-    cache = None
-    store = None
-    if config.cache_enabled:
-        from repro.experiments.executor import ResultCache
-
-        cache = ResultCache(config.cache_dir, max_bytes=config.cache_bytes)
-        store = CheckpointStore(config.cache_dir, max_bytes=config.cache_bytes)
+    cache = config.cache.open(ResultCache)
+    store = config.cache.open(CheckpointStore)
     aggregator = ParetoAggregator()
     run = run_sweep(
         compiled,
@@ -232,8 +214,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         f"{manifest.checkpoint_hits} checkpoint warm-start(s), "
         f"{manifest.events_resumed} event(s) resumed"
     )
-    if config.cache_enabled:
-        manifest.write(config.cache_dir / "manifests" / f"{args.label}.json")
+    if config.cache.enabled:
+        manifest.write(config.cache.directory / "manifests" / f"{args.label}.json")
     frontier = aggregator.frontier()
     print(
         f"pareto frontier: {len(frontier)} non-dominated of "

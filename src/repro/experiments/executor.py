@@ -15,7 +15,11 @@ layer that grid rides on:
 * :class:`ParallelRunner` — fans a list of jobs out over
   ``multiprocessing`` workers (``fork`` start method), collects results in
   job order, and records a :class:`RunManifest` of what ran, which cache
-  layer served each job, and how long every job took.
+  layer served each job, and how long every job took.  Its
+  :meth:`~ParallelRunner.lookup` / :meth:`~ParallelRunner.store` are the
+  one in-process memory → disk → execute → write-back front.
+* :data:`CACHE_CONFIG` — the one copy of the process-wide cache settings
+  (enabled, directory, byte budget) shared by every store.
 
 Usage::
 
@@ -78,9 +82,7 @@ MANIFEST_SCHEMA_VERSION = 3
 #: directory.  Override with ``--cache-dir`` or ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
-#: Environment variables controlling the persistent caches.  Read by
-#: :mod:`repro.experiments.runner` (which re-exports the names) and by the
-#: trace cache's standalone defaults (:mod:`repro.experiments.trace_cache`).
+#: Environment variables seeding the process-wide :data:`CACHE_CONFIG`.
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_BYTES_ENV = "REPRO_CACHE_BYTES"
@@ -118,7 +120,7 @@ def _jsonable(value):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One simulation job: everything :func:`repro.system.run_benchmark` needs.
+    """One simulation job: benchmark, scheme, machine, request count, seed, cores.
 
     The spec is hashable by value (all fields are frozen dataclasses, enums
     or scalars) and content-addressable via :meth:`digest`, which is the
@@ -550,6 +552,46 @@ class ResultCache(JsonFileCache):
         return self.write_json(self.path_for(spec), payload)
 
 
+@dataclass
+class CacheConfig:
+    """The process-wide persistent-cache settings, stored in one place.
+
+    One set of flags (``--no-cache``/``--cache-dir``/``--cache-bytes``, or
+    the :data:`NO_CACHE_ENV`/:data:`CACHE_DIR_ENV`/:data:`CACHE_BYTES_ENV`
+    environment variables) governs every store under the cache directory:
+    results, traces, attack cells and checkpoints share the directory and
+    its LRU byte budget.  :data:`CACHE_CONFIG` is the one live instance;
+    :func:`repro.experiments.runner.configure` and
+    :func:`repro.experiments.trace_cache.configure` both write it.
+    """
+
+    enabled: bool = True
+    directory: Path = DEFAULT_CACHE_DIR
+    #: LRU byte budget for the whole directory; None leaves it unbounded.
+    max_bytes: int | None = None
+
+    def load_env(self) -> "CacheConfig":
+        """Reset every setting from the cache environment variables."""
+        try:
+            self.max_bytes = int(os.environ[CACHE_BYTES_ENV])
+        except (KeyError, ValueError):
+            self.max_bytes = None
+        self.enabled = not os.environ.get(NO_CACHE_ENV)
+        self.directory = Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
+        return self
+
+    def open(self, store: type, *subdir: str):
+        """A ``store`` (a :class:`JsonFileCache` subclass) over the cache
+        directory or a subdirectory of it; None when caching is off."""
+        if not self.enabled:
+            return None
+        return store(self.directory.joinpath(*subdir), max_bytes=self.max_bytes)
+
+
+#: The live process-wide cache settings (see :class:`CacheConfig`).
+CACHE_CONFIG = CacheConfig().load_env()
+
+
 @dataclass(frozen=True)
 class Telemetry:
     """What one execution cost — the one record every consumer carries.
@@ -823,6 +865,12 @@ def _run_job(job, **options) -> Execution:
     return Execution(job.execute(), Telemetry(wall_ms=_elapsed_ms(started)))
 
 
+def _count_job(group, source: str) -> None:
+    """Tally one resolved job into an ``executor`` stat group."""
+    group.add("jobs")
+    group.add("simulations" if source == "simulated" else f"{source}_hits")
+
+
 def _fork_context():
     """The ``fork`` multiprocessing context, or None if the platform lacks it."""
     try:
@@ -879,24 +927,30 @@ class ParallelRunner:
         """Probe both cache layers for one spec: ``(result, source)``.
 
         ``source`` is ``"memory"``, ``"disk"`` or ``"miss"`` (with a
-        ``None`` result).  A disk hit is promoted into the in-memory layer,
-        exactly as :meth:`run` does for sweep jobs.
+        ``None`` result).  A disk hit is promoted into the in-memory layer.
+        Hits are counted in :attr:`stats`; a miss is counted by the
+        :meth:`store` of its executed result.
         """
-        digest = spec.digest()
-        if digest in self.memory:
-            return self.memory[digest], "memory"
-        if self.cache is not None:
-            cached = self.cache.get(spec)
-            if cached is not None:
-                self.memory[digest] = cached
-                return cached, "disk"
-        return None, "miss"
+        return self._lookup(spec, spec.digest())
+
+    def _lookup(self, spec: JobSpec, digest: str) -> tuple[RunResult | None, str]:
+        """:meth:`lookup` for a caller that already holds the spec's digest."""
+        result, source = self.memory.get(digest), "memory"
+        if result is None and self.cache is not None:
+            result, source = self.cache.get(spec), "disk"
+            if result is not None:
+                self.memory[digest] = result
+        if result is None:
+            return None, "miss"
+        _count_job(self.stats.group("executor"), source)
+        return result, source
 
     def store(self, spec: JobSpec, result: RunResult) -> None:
-        """Feed one freshly simulated result into both cache layers."""
+        """Feed one freshly executed result into both cache layers."""
         self.memory[spec.digest()] = result
         if self.cache is not None:
             self.cache.put(spec, result)
+        _count_job(self.stats.group("executor"), "simulated")
 
     def run(
         self,
@@ -920,7 +974,6 @@ class ParallelRunner:
         started = time.perf_counter()
         sweep_stats = StatRegistry()
         group = sweep_stats.group("executor")
-        lifetime = self.stats.group("executor")
 
         results: list[RunResult | None] = [None] * len(specs)
         records: list[JobRecord | None] = [None] * len(specs)
@@ -944,46 +997,29 @@ class ParallelRunner:
             if progress is not None:
                 progress(record)
 
-        for index, digest in enumerate(digests):
-            if digest in self.memory:
-                results[index] = self.memory[digest]
-                resolve(index, "memory", Telemetry())
-            elif self.cache is not None:
-                cached = self.cache.get(specs[index])
-                if cached is not None:
-                    results[index] = cached
-                    self.memory[digest] = cached
-                    resolve(index, "disk", Telemetry())
-                else:
-                    pending.append(index)
-            else:
+        for index, spec in enumerate(specs):
+            result, source = self._lookup(spec, digests[index])
+            if result is None:
                 pending.append(index)
+            else:
+                results[index] = result
+                resolve(index, source, Telemetry())
 
         if pending:
 
             def on_outcome(position: int, outcome: Execution) -> None:
                 index = pending[position]
                 results[index] = outcome.result
-                self.memory[digests[index]] = outcome.result
-                if self.cache is not None:
-                    self.cache.put(specs[index], outcome.result)
+                self.store(specs[index], outcome.result)
                 resolve(index, "simulated", outcome.telemetry)
 
             self._execute([specs[index] for index in pending], on_outcome)
 
         for record in records:
             assert record is not None
-            counter = (
-                "simulations"
-                if record.source == "simulated"
-                else f"{record.source}_hits"
-            )
-            for target in (group, lifetime):
-                target.add("jobs")
-                target.add(counter)
+            _count_job(group, record.source)
             if record.telemetry.forked_from_events:
-                for target in (group, lifetime):
-                    target.add("checkpoint_forks")
+                group.add("checkpoint_forks")
                 group.add("events_resumed", record.telemetry.forked_from_events)
             group.record("job_wall_ms", record.telemetry.wall_ms, bucket_width=100.0)
         wall_clock_s = time.perf_counter() - started

@@ -2,8 +2,8 @@
 
 Fans every registered protection scheme against every registered attacker
 (:mod:`repro.attacks`) over a small workload suite, through the same
-:class:`~repro.experiments.executor.ParallelRunner` + persistent-cache
-machinery the paper tables use.  Each cell is one
+:func:`~repro.experiments.runner.prefetch` + persistent-cache machinery
+the paper tables use.  Each cell is one
 :class:`~repro.attacks.AttackOutcome` — a normalized advantage in
 ``[0, 1]`` over the attack's random-guess baseline — plus a leak verdict
 (advantage at or above the attacker's threshold) checked against the
@@ -41,9 +41,9 @@ from repro.cpu.spec_profiles import SPEC_PROFILES
 from repro.errors import ConfigurationError
 from repro.experiments import runner, trace_cache
 from repro.experiments.executor import (
+    CACHE_CONFIG,
     DEFAULT_SEED,
     JsonFileCache,
-    ParallelRunner,
     RunManifest,
 )
 from repro.experiments.runner import TableColumn, format_table
@@ -236,60 +236,6 @@ def clear_memory() -> None:
     _memory.clear()
 
 
-def _disk_cache() -> AttackCache | None:
-    """The persistent attack-cell cache per runner config, or None."""
-    config = runner.get_config()
-    if not config.cache_enabled:
-        return None
-    return AttackCache(config.cache_dir / "attacks", max_bytes=config.cache_bytes)
-
-
-def prefetch_cells(
-    specs: list[AttackCellSpec], label: str = "matrix", progress=None
-) -> RunManifest:
-    """Resolve every cell (cache or execution), fanning cold cells out.
-
-    Mirrors :func:`repro.experiments.runner.prefetch` for attack cells:
-    outcomes populate the in-process dict and the persistent attack cache,
-    the sweep manifest lands under ``<cache-dir>/manifests/<label>.json``,
-    and ``--profile`` runs the sweep serially under cProfile + event
-    accounting with hotspot reports next to the manifest.
-    """
-    config = runner.get_config()
-    if config.profile:
-        return _prefetch_profiled(specs, label)
-    parallel = ParallelRunner(
-        workers=config.workers, cache=_disk_cache(), memory=_memory
-    )
-    parallel.run(list(specs), label=label, progress=progress)
-    manifest = parallel.manifest
-    assert manifest is not None
-    if config.cache_enabled:
-        manifest.write(config.cache_dir / "manifests" / f"{label}.json")
-    return manifest
-
-
-def _prefetch_profiled(specs: list[AttackCellSpec], label: str) -> RunManifest:
-    """Profiled cell sweep: serial, in-process, hotspot reports on disk."""
-    from repro.sim import profiling
-
-    config = runner.get_config()
-    parallel = ParallelRunner(workers=1, cache=_disk_cache(), memory=_memory)
-    with profiling.capture() as session:
-        parallel.run(list(specs), label=label)
-    manifest = parallel.manifest
-    assert manifest is not None
-    manifest_dir = config.cache_dir / "manifests"
-    if config.cache_enabled:
-        manifest.write(manifest_dir / f"{label}.json")
-    json_path, text_path = session.write_reports(manifest_dir, label)
-    print(
-        f"[profile] {label}: {session.accountant.events} events in "
-        f"{session.wall_s:.3f} s -> {json_path} / {text_path}"
-    )
-    return manifest
-
-
 @dataclass(frozen=True)
 class MatrixCell:
     """One resolved matrix cell: outcome, verdict and the trait prediction."""
@@ -437,7 +383,13 @@ def run(
 ) -> MatrixResult:
     """Run the scheme×attack sweep and assemble the verdict matrix."""
     specs = matrix_specs(schemes, attacks, workloads, num_requests, seed, channels)
-    manifest = prefetch_cells(specs, label="matrix", progress=progress)
+    manifest = runner.prefetch(
+        specs,
+        label="matrix",
+        progress=progress,
+        memory=_memory,
+        cache=CACHE_CONFIG.open(AttackCache, "attacks"),
+    )
     cells = []
     for spec in specs:
         outcome = _memory[spec.digest()]

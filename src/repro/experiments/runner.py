@@ -1,12 +1,14 @@
 """Shared experiment plumbing: cached runs, parallel prefetch, tables.
 
 Every experiment module (table1/table3/figure4/figure5/table4/energy) runs
-benchmarks through :func:`repro.system.run_benchmark`.  This module fronts
-that call with a two-layer cache — a process-lifetime dict plus the
-persistent on-disk :class:`~repro.experiments.executor.ResultCache` — and a
-parallel prefetch step, so a full regeneration of the paper's evaluation
-reuses each (benchmark, level, machine, seed) simulation across processes
-and can fan cold jobs out over every core.
+its simulations as :class:`~repro.experiments.executor.JobSpec` jobs
+through this module's cache front: a process-lifetime dict plus the
+persistent on-disk :class:`~repro.experiments.executor.ResultCache`,
+resolved by :meth:`~repro.experiments.executor.ParallelRunner.lookup` /
+:meth:`~repro.experiments.executor.ParallelRunner.store`, and a parallel
+prefetch step, so a full regeneration of the paper's evaluation reuses
+each (benchmark, level, machine, seed) simulation across processes and
+can fan cold jobs out over every core.
 
 The execution surface is configured once per process::
 
@@ -14,18 +16,22 @@ The execution surface is configured once per process::
 
     runner.configure(workers=4, cache_dir="/tmp/obfus-cache")
     rows = table1.run()          # cold jobs run on 4 workers, warm ones hit
-    print(runner.runtime_stats())  # {'runner.memory_hits': ..., ...}
+    print(runner.runtime_stats())  # {'executor.memory_hits': ..., ...}
 
 or from any experiment CLI / ``python -m repro experiments`` via
 ``--workers N``, ``--no-cache`` and ``--cache-dir PATH`` (environment
 equivalents: ``REPRO_WORKERS``, ``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``).
-Each :func:`prefetch` sweep records a run manifest; with the disk cache
-enabled it is written under ``<cache-dir>/manifests/<label>.json``.
+The cache settings are the one
+:data:`~repro.experiments.executor.CACHE_CONFIG`, which also governs the
+trace cache.  Each :func:`prefetch` sweep records a run manifest; with the
+disk cache enabled it is written under
+``<cache-dir>/manifests/<label>.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,19 +40,21 @@ from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
 from repro.errors import ConfigurationError
 from repro.experiments import trace_cache
 from repro.experiments.executor import (
-    CACHE_BYTES_ENV,
-    CACHE_DIR_ENV,
+    CACHE_CONFIG,
     DEFAULT_CACHE_DIR,
     DEFAULT_REQUESTS,
     DEFAULT_SEED,
-    NO_CACHE_ENV,
+    CacheConfig,
     JobSpec,
+    JsonFileCache,
     ParallelRunner,
     ResultCache,
     RunManifest,
+    execute,
 )
 from repro.attacks import add_attack_arguments
 from repro.schemes import add_scheme_arguments
+from repro.sim import profiling
 from repro.sim.statistics import StatRegistry
 from repro.system.config import MachineConfig, ProtectionLevel
 from repro.system.simulator import RunResult
@@ -63,47 +71,26 @@ class RunnerConfig:
     """Process-wide execution settings for experiment runs."""
 
     workers: int = 1
-    cache_enabled: bool = True
-    cache_dir: Path = DEFAULT_CACHE_DIR
-    #: Byte budget for the persistent cache (LRU eviction on write); None
-    #: leaves the store unbounded, which is fine for one-shot CLI runs.
-    cache_bytes: int | None = None
     profile: bool = False
+
+    @property
+    def cache(self) -> CacheConfig:
+        """The process-wide cache settings, shared with the trace cache."""
+        return CACHE_CONFIG
 
 
 def _config_from_env() -> RunnerConfig:
-    """Build the initial runner config from ``REPRO_*`` environment variables."""
+    """Build the runner config from ``REPRO_*`` environment variables."""
     try:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     except ValueError:
         workers = 1
-    try:
-        cache_bytes = int(os.environ[CACHE_BYTES_ENV])
-    except (KeyError, ValueError):
-        cache_bytes = None
     return RunnerConfig(
-        workers=max(1, workers),
-        cache_enabled=not os.environ.get(NO_CACHE_ENV),
-        cache_dir=Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)),
-        cache_bytes=cache_bytes,
-        profile=bool(os.environ.get(PROFILE_ENV)),
+        workers=max(1, workers), profile=bool(os.environ.get(PROFILE_ENV))
     )
 
 
 _config = _config_from_env()
-
-
-def _sync_trace_cache() -> None:
-    """Push the runner's cache settings onto the front-end trace cache.
-
-    Result and trace entries live in one directory under one byte budget,
-    so a single set of flags (``--no-cache``/``--cache-dir``/
-    ``--cache-bytes``) must govern both stores.
-    """
-    trace_cache.sync(_config.cache_enabled, _config.cache_dir, _config.cache_bytes)
-
-
-_sync_trace_cache()
 
 
 def configure(
@@ -115,20 +102,16 @@ def configure(
 ) -> RunnerConfig:
     """Update the process-wide runner config; None leaves a field unchanged.
 
-    ``cache_bytes`` accepts a negative value to mean "back to unbounded"
-    (None is the leave-unchanged sentinel shared by every parameter).
+    The cache settings go to :func:`repro.experiments.trace_cache.configure`
+    (which also clears the trace memo).  ``cache_bytes`` accepts a negative
+    value to mean "back to unbounded" (None is the leave-unchanged sentinel
+    shared by every parameter).
     """
     if workers is not None:
         _config.workers = max(1, int(workers))
-    if cache_enabled is not None:
-        _config.cache_enabled = bool(cache_enabled)
-    if cache_dir is not None:
-        _config.cache_dir = Path(cache_dir)
-    if cache_bytes is not None:
-        _config.cache_bytes = None if cache_bytes < 0 else int(cache_bytes)
     if profile is not None:
         _config.profile = bool(profile)
-    _sync_trace_cache()
+    trace_cache.configure(cache_enabled, cache_dir, cache_bytes)
     return _config
 
 
@@ -138,18 +121,12 @@ def get_config() -> RunnerConfig:
 
 
 def reset_config() -> RunnerConfig:
-    """Re-derive the runner config from the environment (mainly for tests)."""
+    """Re-derive every setting from the environment (mainly for tests)."""
     global _config
     _config = _config_from_env()
-    _sync_trace_cache()
+    CACHE_CONFIG.load_env()
+    trace_cache.clear_memo()
     return _config
-
-
-def _disk_cache() -> ResultCache | None:
-    """The persistent cache per current config, or None when disabled."""
-    if not _config.cache_enabled:
-        return None
-    return ResultCache(_config.cache_dir, max_bytes=_config.cache_bytes)
 
 
 def clear_cache() -> None:
@@ -166,9 +143,7 @@ def runtime_stats() -> dict[str, float]:
 
 def simulations_performed() -> int:
     """How many actual simulations this process has executed so far."""
-    return int(
-        sum(v for k, v in _stats.as_dict().items() if k.endswith(".simulations"))
-    )
+    return int(_stats.group("executor").get("simulations"))
 
 
 def cached_run(
@@ -195,83 +170,71 @@ def cached_run(
     return run_spec(spec)
 
 
+def _front(
+    memory: dict | None = None, cache: JsonFileCache | None = None
+) -> ParallelRunner:
+    """A runner over one memo + disk store pair, counting into ``_stats``.
+
+    Without ``memory`` it is this module's result memo and the configured
+    :class:`ResultCache`; a caller with its own memo passes its disk store
+    (None for none) alongside it.
+    """
+    if memory is None:
+        memory, cache = _cache, CACHE_CONFIG.open(ResultCache)
+    workers = 1 if _config.profile else _config.workers
+    return ParallelRunner(workers=workers, cache=cache, memory=memory, stats=_stats)
+
+
 def run_spec(spec: JobSpec) -> RunResult:
     """Resolve one :class:`JobSpec` through both cache layers."""
-    group = _stats.group("runner")
-    digest = spec.digest()
-    if digest in _cache:
-        group.add("memory_hits")
-        return _cache[digest]
-    disk = _disk_cache()
-    if disk is not None:
-        cached = disk.get(spec)
-        if cached is not None:
-            group.add("disk_hits")
-            _cache[digest] = cached
-            return cached
-    group.add("simulations")
-    result = spec.execute()
-    _cache[digest] = result
-    if disk is not None:
-        disk.put(spec, result)
+    front = _front()
+    result, _source = front.lookup(spec)
+    if result is None:
+        result = execute(spec).result
+        front.store(spec, result)
     return result
 
 
-def prefetch(specs: list[JobSpec], label: str = "sweep", progress=None) -> RunManifest:
+def prefetch(
+    specs: list,
+    label: str = "sweep",
+    progress=None,
+    memory: dict | None = None,
+    cache: JsonFileCache | None = None,
+) -> RunManifest:
     """Resolve a whole sweep up front, fanning cold jobs over workers.
 
     Populates both cache layers, so subsequent :func:`cached_run` calls for
-    the same specs are pure in-memory hits.  Returns the sweep's manifest;
-    with the disk cache enabled it is also written to
-    ``<cache-dir>/manifests/<label>.json``.  ``progress`` (a callable
-    taking one :class:`~repro.experiments.executor.JobRecord`) streams
-    per-job resolution as the sweep advances.
+    the same specs are pure in-memory hits.  ``memory`` and ``cache``
+    replace those layers for jobs with their own stores (the attack matrix
+    passes its outcome memo and attack-cell cache); by default they are
+    this module's result memo and the configured :class:`ResultCache`.
+    Returns the sweep's manifest; with the disk cache enabled it is also
+    written to ``<cache-dir>/manifests/<label>.json``.  ``progress`` (a
+    callable taking one :class:`~repro.experiments.executor.JobRecord`)
+    streams per-job resolution as the sweep advances.
 
     With profiling enabled (``--profile`` / ``REPRO_PROFILE``), the sweep
-    runs serially in-process under cProfile + event accounting, and the
-    hotspot reports are written alongside the manifest as
-    ``<label>.profile.json`` / ``<label>.profile.txt``.
+    runs serially in-process under cProfile + event accounting (fork
+    workers cannot feed a parent-side profiler), and the hotspot reports
+    are written alongside the manifest as ``<label>.profile.json`` /
+    ``<label>.profile.txt``.
     """
-    if _config.profile:
-        return _prefetch_profiled(specs, label)
-    parallel = ParallelRunner(
-        workers=_config.workers,
-        cache=_disk_cache(),
-        memory=_cache,
-        stats=_stats,
-    )
-    parallel.run(list(specs), label=label, progress=progress)
+    parallel = _front(memory, cache)
+    capture = profiling.capture() if _config.profile else contextlib.nullcontext()
+    with capture as session:
+        parallel.run(list(specs), label=label, progress=progress)
     manifest = parallel.manifest
     assert manifest is not None
-    if _config.cache_enabled:
-        manifest.write(_config.cache_dir / "manifests" / f"{label}.json")
-    return manifest
-
-
-def _prefetch_profiled(specs: list[JobSpec], label: str) -> RunManifest:
-    """Profiled sweep: serial, in-process, with hotspot reports on disk.
-
-    Fork workers cannot feed a parent-side profiler, so profiling forces
-    ``workers=1``; cold simulations still populate both cache layers.
-    """
-    from repro.sim import profiling
-
-    parallel = ParallelRunner(
-        workers=1,
-        cache=_disk_cache(),
-        memory=_cache,
-        stats=_stats,
-    )
-    with profiling.capture() as session:
-        parallel.run(list(specs), label=label)
-    manifest = parallel.manifest
-    assert manifest is not None
-    manifest_dir = _config.cache_dir / "manifests"
-    if _config.cache_enabled:
+    manifest_dir = CACHE_CONFIG.directory / "manifests"
+    if CACHE_CONFIG.enabled:
         manifest.write(manifest_dir / f"{label}.json")
-    json_path, text_path = session.write_reports(manifest_dir, label)
-    print(f"[profile] {label}: {session.accountant.events} events in "
-          f"{session.wall_s:.3f} s -> {json_path} / {text_path}")
+    if session is not None:
+        json_path, text_path = session.write_reports(manifest_dir, label)
+        print(
+            f"[profile] {label}: {session.accountant.events} events in "
+            f"{session.wall_s:.3f} s -> {json_path} / {text_path}"
+        )
     return manifest
 
 

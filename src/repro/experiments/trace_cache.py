@@ -19,9 +19,9 @@ the :class:`~repro.experiments.executor.JsonFileCache` machinery:
   :meth:`repro.cpu.trace.Trace.to_jsonable`, so a cached trace is
   bit-identical to a freshly generated one (floats round-trip exactly);
 * entries share the result cache's directory and therefore its LRU byte
-  budget — ``--cache-dir``/``--cache-bytes`` govern both kinds, and
-  ``--no-cache`` disables both (:func:`repro.experiments.runner.configure`
-  keeps this module's process-wide config in sync).
+  budget — one :data:`~repro.experiments.executor.CACHE_CONFIG` holds the
+  settings for both kinds, so ``--cache-dir``/``--cache-bytes`` govern
+  both and ``--no-cache`` disables both.
 
 Sharing one directory also means sharing it *across processes*: every
 persistent serve worker, the supervisor and any concurrent CLI sweep may
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,10 +59,8 @@ from repro.cpu.trace import Trace
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ConfigurationError, TraceError
 from repro.experiments.executor import (
-    CACHE_BYTES_ENV,
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    NO_CACHE_ENV,
+    CACHE_CONFIG,
+    CacheConfig,
     JsonFileCache,
     _jsonable,
 )
@@ -257,36 +254,6 @@ class TraceCache(JsonFileCache):
         return self.write_json(self.path_for(spec), payload)
 
 
-@dataclass
-class TraceCacheConfig:
-    """Process-wide trace-cache settings (mirrors the runner's cache flags)."""
-
-    enabled: bool = True
-    directory: Path = DEFAULT_CACHE_DIR
-    #: LRU byte budget shared with co-located result entries; None unbounded.
-    max_bytes: int | None = None
-
-
-def _config_from_env() -> TraceCacheConfig:
-    """Initial config from the ``REPRO_*`` cache environment variables.
-
-    The same variables govern the result cache
-    (:mod:`repro.experiments.runner` reads them for its own config), so a
-    bare process — a forked serve child, a cross-process CI check — agrees
-    with a configured one about where traces live and whether to cache.
-    """
-    try:
-        max_bytes = int(os.environ[CACHE_BYTES_ENV])
-    except (KeyError, ValueError):
-        max_bytes = None
-    return TraceCacheConfig(
-        enabled=not os.environ.get(NO_CACHE_ENV),
-        directory=Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)),
-        max_bytes=max_bytes,
-    )
-
-
-_config = _config_from_env()
 _lock = threading.Lock()
 _hits = 0
 _misses = 0
@@ -328,48 +295,32 @@ def configure(
     enabled: bool | None = None,
     directory: str | Path | None = None,
     max_bytes: int | None = None,
-) -> TraceCacheConfig:
-    """Update the process-wide trace-cache config; None leaves a field as is.
+) -> CacheConfig:
+    """Update the process-wide cache config; None leaves a field as is.
 
-    ``max_bytes`` accepts a negative value to mean "back to unbounded"
-    (None is the leave-unchanged sentinel, as in
-    :func:`repro.experiments.runner.configure`).
+    The settings are the one :data:`~repro.experiments.executor.CACHE_CONFIG`
+    that also governs the result cache.  ``max_bytes`` accepts a negative
+    value to mean "back to unbounded".  Any call clears the trace memo.
     """
     if enabled is not None:
-        _config.enabled = bool(enabled)
+        CACHE_CONFIG.enabled = bool(enabled)
     if directory is not None:
-        _config.directory = Path(directory)
+        CACHE_CONFIG.directory = Path(directory)
     if max_bytes is not None:
-        _config.max_bytes = None if max_bytes < 0 else int(max_bytes)
-    return _config
+        CACHE_CONFIG.max_bytes = None if max_bytes < 0 else int(max_bytes)
+    clear_memo()
+    return CACHE_CONFIG
 
 
 def sync(enabled: bool, directory: str | Path, max_bytes: int | None) -> None:
-    """Overwrite every setting at once (the runner pushes its config here)."""
-    _config.enabled = bool(enabled)
-    _config.directory = Path(directory)
-    _config.max_bytes = max_bytes if max_bytes is None else max(0, int(max_bytes))
-    clear_memo()
-
-
-def get_config() -> TraceCacheConfig:
-    """The live process-wide trace-cache config."""
-    return _config
-
-
-def reset_config() -> TraceCacheConfig:
-    """Re-derive the config from the environment (mainly for tests)."""
-    global _config
-    _config = _config_from_env()
-    clear_memo()
-    return _config
+    """Overwrite every cache setting at once (a negative budget means 0)."""
+    CACHE_CONFIG.max_bytes = None if max_bytes is None else max(0, int(max_bytes))
+    configure(enabled, directory)
 
 
 def active_cache() -> TraceCache | None:
     """The trace cache per current config, or None when caching is off."""
-    if not _config.enabled:
-        return None
-    return TraceCache(_config.directory, max_bytes=_config.max_bytes)
+    return CACHE_CONFIG.open(TraceCache)
 
 
 def counters() -> tuple[int, int]:

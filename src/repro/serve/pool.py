@@ -73,7 +73,7 @@ def _stamped(telemetry: Telemetry, started: float) -> Telemetry:
     return dataclasses.replace(telemetry, wall_ms=wall_ms)
 
 
-def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
+def _pool_worker_main(connection, cache_dir, cache_bytes) -> None:
     """Entry point of one persistent worker process.
 
     Loops forever: receive ``("run", job_id, spec, budget_s)``, resolve it
@@ -181,7 +181,6 @@ class WorkerHandle:
     kill_reason: str | None = None
     completed: int = 0
     restarts: int = 0
-    started_at: float = field(default_factory=time.monotonic)
 
     def describe(self) -> dict:
         """This slot as a JSON-ready dict (one ``workers_detail`` row)."""
@@ -396,7 +395,7 @@ class WorkerPool:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_pool_worker_main,
-            args=(child_conn, index, self.cache_dir, self.cache_bytes),
+            args=(child_conn, self.cache_dir, self.cache_bytes),
             name=f"repro-pool-worker-{index}",
             daemon=True,
         )
@@ -605,7 +604,6 @@ class WorkerPool:
         handle.process.join(timeout=5.0)
         handle.process, handle.conn = self._spawn(handle.index)
         handle.kill_reason = None
-        handle.started_at = time.monotonic()
         handle.restarts += 1
         if crashed:
             self._crash_restarts += 1

@@ -50,7 +50,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments import trace_cache
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
     JobSpec,
@@ -141,14 +140,6 @@ class SimulationService:
             cache = ResultCache(
                 self.config.cache_dir, max_bytes=self.config.cache_bytes
             )
-        # The front-end trace cache shares the result cache's directory and
-        # byte budget; worker processes configure the same cache, so
-        # repeated jobs skip trace generation entirely.
-        trace_cache.sync(
-            enabled=self.config.cache_dir is not None,
-            directory=self.config.cache_dir or DEFAULT_CACHE_DIR,
-            max_bytes=self.config.cache_bytes,
-        )
         self.runner = ParallelRunner(workers=1, cache=cache)
         self.board: JobBoard | None = None
         self.stats = StatRegistry()

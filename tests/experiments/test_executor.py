@@ -18,6 +18,7 @@ import pytest
 import repro
 from repro.experiments import runner
 from repro.experiments.executor import (
+    CACHE_CONFIG,
     CACHE_SCHEMA_VERSION,
     MANIFEST_SCHEMA_VERSION,
     JobRecord,
@@ -135,7 +136,7 @@ class TestResultCache:
         # ... and the damaged entry was repaired by the re-run.
         runner.clear_cache()
         runner.cached_run("astar", ProtectionLevel.UNPROTECTED, **FAST)
-        assert runner.runtime_stats()["runner.disk_hits"] == 1
+        assert runner.runtime_stats()["executor.disk_hits"] == 1
 
     def test_clear_removes_entries(self, tmp_path):
         spec = _spec()
@@ -358,3 +359,50 @@ class TestCrossProcessCache:
         manifest = json.loads((tmp_path / "manifests" / "table1.json").read_text())
         assert manifest["cache_hits"] == 2
         assert manifest["cache_misses"] == 0
+
+
+def _runner_jobs() -> tuple[list, dict, dict]:
+    """Table jobs: the runner's result memo and ResultCache (the defaults)."""
+    specs = [JobSpec("astar", level, **FAST) for level in ("unprotected", "hide")]
+    return specs, {}, runner._cache
+
+
+def _matrix_jobs() -> tuple[list, dict, dict]:
+    """Attack cells: the matrix's outcome memo and ``<cache-dir>/attacks``."""
+    from repro.experiments import matrix
+
+    matrix.capture_workload.cache_clear()
+    specs = matrix.matrix_specs(
+        ["unprotected"], ["dictionary"], workloads=("mcf",), num_requests=300
+    )
+    layers = {
+        "memory": matrix._memory,
+        "cache": CACHE_CONFIG.open(matrix.AttackCache, "attacks"),
+    }
+    return specs, layers, matrix._memory
+
+
+class TestPrefetch:
+    @pytest.fixture(autouse=True)
+    def restore_runner(self):
+        yield
+        runner.reset_config()
+        runner.clear_cache()
+
+    @pytest.mark.parametrize(
+        "jobs", [_runner_jobs, _matrix_jobs], ids=["runner", "matrix"]
+    )
+    def test_profiled_prefetch_writes_reports_and_same_results(self, tmp_path, jobs):
+        runs = {}
+        for profile in (True, False):
+            cache_dir = tmp_path / ("profiled" if profile else "plain")
+            runner.configure(profile=profile, cache_enabled=True, cache_dir=cache_dir)
+            specs, layers, memory = jobs()
+            memory.clear()
+            manifest = runner.prefetch(specs, label="probe", **layers)
+            assert manifest.cache_misses == len(specs)
+            runs[profile] = [memory[spec.digest()] for spec in specs]
+            written = sorted(path.name for path in (cache_dir / "manifests").iterdir())
+            reports = ["probe.profile.json", "probe.profile.txt"] if profile else []
+            assert written == sorted(["probe.json", *reports])
+        assert runs[True] == runs[False]

@@ -41,7 +41,7 @@ def isolated_trace_cache(tmp_path):
     trace_cache.sync(enabled=True, directory=tmp_path / "cache", max_bytes=None)
     trace_cache.reset_counters()
     yield
-    trace_cache.reset_config()
+    runner.reset_config()
     trace_cache.reset_counters()
 
 
@@ -201,15 +201,19 @@ class TestRunnerIntegration:
     def restore_runner(self):
         yield
         runner.reset_config()
-        trace_cache.reset_config()
 
     def test_runner_configure_drives_the_trace_cache(self, tmp_path):
         runner.configure(cache_enabled=True, cache_dir=tmp_path, cache_bytes=4096)
-        config = trace_cache.get_config()
-        assert config.enabled and config.directory == tmp_path
-        assert config.max_bytes == 4096
+        active = trace_cache.active_cache()
+        assert active is not None and active.directory == tmp_path
+        assert active.max_bytes == 4096
         runner.configure(cache_enabled=False)
-        assert not trace_cache.get_config().enabled
+        assert trace_cache.active_cache() is None
+        # ... and the reverse: the trace cache's settings are the runner's.
+        trace_cache.sync(enabled=True, directory=tmp_path / "traces", max_bytes=512)
+        config = runner.get_config().cache
+        assert config.enabled and config.directory == tmp_path / "traces"
+        assert config.max_bytes == 512
 
     def test_job_execute_is_identical_warm_and_cold(self, tmp_path):
         trace_cache.sync(enabled=True, directory=tmp_path, max_bytes=None)
