@@ -14,8 +14,9 @@
 - :mod:`repro.experiments.export` — CSV writers for every result type.
 - :mod:`repro.experiments.executor` — parallel job execution + persistent
   on-disk result cache + run manifests.
-- :mod:`repro.experiments.runner` — cached-run frontend, process-wide
-  worker/cache configuration, table formatting.
+- :mod:`repro.experiments.runner` — the one ``resolve`` call every
+  experiment sweeps through, process-wide worker/cache configuration,
+  table formatting.
 - :mod:`repro.experiments.trace_cache` — persistent content-addressed
   cache of front-end traces, sharing the result cache's directory and
   byte budget.
@@ -38,10 +39,9 @@ control parallel fan-out and the persistent result cache.
 from repro.experiments.executor import JobSpec, ParallelRunner, ResultCache, RunManifest
 from repro.experiments.pareto import ParetoAggregator
 from repro.experiments.runner import (
-    cached_run,
     clear_cache,
     configure,
-    prefetch,
+    resolve,
     select_benchmarks,
 )
 from repro.experiments.sweep import SweepSpec, plan_sweep, run_sweep
@@ -53,11 +53,10 @@ __all__ = [
     "ResultCache",
     "RunManifest",
     "SweepSpec",
-    "cached_run",
     "clear_cache",
     "configure",
     "plan_sweep",
-    "prefetch",
+    "resolve",
     "run_sweep",
     "select_benchmarks",
 ]

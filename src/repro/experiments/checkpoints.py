@@ -44,7 +44,6 @@ from pathlib import Path
 from repro.errors import CheckpointError
 from repro.experiments.executor import (
     CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
     JobSpec,
     JsonFileCache,
 )
@@ -236,10 +235,3 @@ def world_for_spec(
         ),
         0,
     )
-
-
-def default_checkpoint_store(
-    directory: str | Path = DEFAULT_CACHE_DIR, max_bytes: int | None = None
-) -> CheckpointStore:
-    """A store on the conventional cache directory (shared LRU budget)."""
-    return CheckpointStore(directory, max_bytes=max_bytes)

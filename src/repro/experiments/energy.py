@@ -18,15 +18,13 @@ from repro.analysis.energy import (
     measure_obfusmem,
     measure_oram,
 )
-from repro.experiments.executor import sweep_specs
+from repro.experiments.executor import DEFAULT_SEED, sweep_specs
 from repro.experiments.runner import (
-    DEFAULT_SEED,
     TableColumn,
     add_runner_arguments,
-    cached_run,
     configure_from_args,
     format_table,
-    prefetch,
+    resolve,
 )
 from repro.system.config import MachineConfig, ProtectionLevel
 
@@ -45,21 +43,14 @@ def run(
     channels: int = 4,
 ) -> EnergyResult:
     """Run the §5.2 analysis (analytical + measured) for one benchmark."""
-    machine = MachineConfig(channels=channels)
-    prefetch(
-        sweep_specs(
-            [benchmark],
-            [ProtectionLevel.OBFUSMEM_AUTH, ProtectionLevel.ORAM],
-            machine=machine,
-            num_requests=num_requests,
-            seed=seed,
-        ),
-        label="energy",
+    specs = sweep_specs(
+        [benchmark],
+        [ProtectionLevel.OBFUSMEM_AUTH, ProtectionLevel.ORAM],
+        machine=MachineConfig(channels=channels),
+        num_requests=num_requests,
+        seed=seed,
     )
-    obfus = cached_run(
-        benchmark, ProtectionLevel.OBFUSMEM_AUTH, machine, num_requests, seed
-    )
-    oram = cached_run(benchmark, ProtectionLevel.ORAM, machine, num_requests, seed)
+    (obfus, oram), _manifest = resolve(specs, label="energy")
     return EnergyResult(
         analytical=analytical_comparison(channels=channels),
         obfusmem_measured=measure_obfusmem(obfus.stats, benchmark),

@@ -8,10 +8,13 @@ layer that grid rides on:
   (benchmark, protection level, machine config, request count, seed,
   cores).  Two specs that are equal by value share one cache identity,
   no matter which process built them.
-* :class:`ResultCache` — a content-addressed store of
-  :class:`~repro.system.simulator.RunResult` JSON files under a directory
-  (``.repro-cache/`` by convention), so regenerating any table or figure
-  is a cache hit *across processes*, not just within one.
+* :func:`content_digest` — the one cache key: every content-addressed
+  spec (jobs, job prefixes, traces, attack cells) hashes through it.
+* :class:`JsonFileCache` — the one entry codec: ``path_for``/``get``/``put``
+  over ``{schema, spec, <payload>}`` JSON files.  :class:`ResultCache` is
+  the store of :class:`~repro.system.simulator.RunResult` entries under a
+  directory (``.repro-cache/`` by convention), so regenerating any table
+  or figure is a cache hit *across processes*, not just within one.
 * :class:`ParallelRunner` — fans a list of jobs out over
   ``multiprocessing`` workers (``fork`` start method), collects results in
   job order, and records a :class:`RunManifest` of what ran, which cache
@@ -60,7 +63,7 @@ except ImportError:  # pragma: no cover - platform-dependent
     fcntl = None
 
 from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, ReproError
 from repro.schemes import level_for, resolve_scheme, scheme_name_of
 from repro.sim.statistics import StatRegistry
 from repro.system.config import MachineConfig, ProtectionLevel
@@ -118,6 +121,20 @@ def _jsonable(value):
     raise ConfigurationError(f"cannot serialize {type(value).__name__} in a job spec")
 
 
+def content_digest(schema, **fields) -> str:
+    """The sha256 of the canonical JSON of ``{"schema": schema, **fields}``.
+
+    The one cache key of every content-addressed spec: a
+    :class:`JobSpec` and its checkpoint prefix, both trace-spec kinds and
+    attack-matrix cells.  Keys are sorted and separators compact, so equal
+    values hash equally in any process.
+    """
+    encoded = json.dumps(
+        {"schema": schema, **fields}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One simulation job: benchmark, scheme, machine, request count, seed, cores.
@@ -150,9 +167,7 @@ class JobSpec:
 
     def digest(self) -> str:
         """Content hash of the spec plus the cache schema version."""
-        payload = {"schema": CACHE_SCHEMA_VERSION, "spec": self.to_jsonable()}
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        return content_digest(CACHE_SCHEMA_VERSION, spec=self.to_jsonable())
 
     def prefix_digest(self) -> str:
         """Content hash of everything but ``num_requests``.
@@ -165,9 +180,7 @@ class JobSpec:
         """
         prefix = self.to_jsonable()
         del prefix["num_requests"]
-        payload = {"schema": CACHE_SCHEMA_VERSION, "prefix": prefix}
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        return content_digest(CACHE_SCHEMA_VERSION, prefix=prefix)
 
     def execute(self) -> RunResult:
         """Run the simulation this spec describes (the result is not cached).
@@ -359,12 +372,21 @@ def spec_from_jsonable(payload: dict) -> JobSpec:
 
 
 class JsonFileCache:
-    """Shared machinery for content-addressed JSON stores under one directory.
+    """The one entry codec for content-addressed JSON stores in one directory.
 
-    Concrete caches — :class:`ResultCache` for simulation results, and
-    :class:`repro.experiments.trace_cache.TraceCache` for front-end traces
-    — provide the entry naming and payload validation; this base owns the
-    durable parts: tolerant reads (damage degrades to a miss), atomic
+    An entry is ``<file_prefix><spec.digest()>.json`` holding
+    ``{"schema": ..., "spec": <spec echo>, <payload_key>: <encoded value>}``.
+    :meth:`get` is a hit only when the schema token and the full spec echo
+    both match and the value decodes; collisions, stale schemas, damage
+    and any decode failure degrade to a miss, never to a wrong or crashing
+    result.  A concrete store — :class:`ResultCache`, the trace cache's
+    :class:`~repro.experiments.trace_cache.TraceCache`, the matrix's
+    :class:`~repro.experiments.matrix.AttackCache` — declares only data:
+    :attr:`schema`, :attr:`file_prefix`, :attr:`payload_key` and its value
+    codec (:attr:`encode`/:attr:`decode`).  A spec is anything with
+    ``digest()`` and ``to_jsonable()``.
+
+    This base also owns the durable parts: tolerant reads, atomic
     write-then-rename persistence, mtime-as-LRU-clock touching on hits,
     and byte-budget eviction over every ``*.json`` entry in the directory.
     Different entry kinds sharing one directory therefore also share one
@@ -392,6 +414,26 @@ class JsonFileCache:
     #: serializes eviction across processes sharing the directory.
     EVICTOR_LEASE_NAME = ".evictor-lease"
 
+    #: Schema token every entry must carry to be a hit.
+    schema = None
+    #: Entry file-name prefix (kinds sharing a directory stay apart by name).
+    file_prefix = ""
+    #: Key of the encoded value inside an entry.
+    payload_key = None
+    #: The value codec, set by each store as static functions:
+    #: ``encode(value)`` -> JSON-ready, ``decode(json)`` -> value (raising
+    #: on damage).
+    encode = decode = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Every store holds get/put in its own namespace, so tracing can
+        # wrap one store's methods by attribute without touching the rest
+        # (perfbench/tracing.py looks the original up in ``vars(cls)``).
+        for name in ("get", "put"):
+            if name not in vars(cls):
+                setattr(cls, name, getattr(JsonFileCache, name))
+
     def __init__(
         self,
         directory: str | Path = DEFAULT_CACHE_DIR,
@@ -399,6 +441,34 @@ class JsonFileCache:
     ):
         self.directory = Path(directory)
         self.max_bytes = None if max_bytes is None else max(0, int(max_bytes))
+
+    def path_for(self, spec) -> Path:
+        """Where this spec's entry lives (whether or not it exists yet)."""
+        return self.directory / f"{self.file_prefix}{spec.digest()}.json"
+
+    def get(self, spec):
+        """The stored value for ``spec``, or None on any miss or damage."""
+        path = self.path_for(spec)
+        payload = self.read_json(path)
+        if payload is None or payload.get("schema") != self.schema:
+            return None
+        if payload.get("spec") != spec.to_jsonable():
+            return None
+        try:
+            value = self.decode(payload[self.payload_key])
+        except (ReproError, ValueError, KeyError, TypeError):
+            return None
+        self.touch(path)
+        return value
+
+    def put(self, spec, value) -> Path:
+        """Persist ``value`` for ``spec``; returns the entry's path."""
+        payload = {
+            "schema": self.schema,
+            "spec": spec.to_jsonable(),
+            self.payload_key: self.encode(value),
+        }
+        return self.write_json(self.path_for(spec), payload)
 
     def read_json(self, path: Path) -> dict | None:
         """Parse one entry; None on absence, damage or a non-object root."""
@@ -515,41 +585,15 @@ class JsonFileCache:
 class ResultCache(JsonFileCache):
     """Content-addressed persistent store of simulation results.
 
-    One JSON file per job digest under ``directory``.  Every entry embeds
-    the schema version and the full spec it was computed from, so a load
-    only succeeds when both match — hash collisions, stale schema versions
-    and corrupted files all degrade to a cache miss, never to a wrong or
-    crashing result.  Durability and LRU byte-budget eviction come from
-    :class:`JsonFileCache`.
+    One ``<digest>.json`` entry per :class:`JobSpec`, keyed and validated
+    by the :class:`JsonFileCache` codec; durability and LRU byte-budget
+    eviction come from the same base.
     """
 
-    def path_for(self, spec: JobSpec) -> Path:
-        """Where this spec's result lives (whether or not it exists yet)."""
-        return self.directory / f"{spec.digest()}.json"
-
-    def get(self, spec: JobSpec) -> RunResult | None:
-        """The cached result for ``spec``, or None on any miss or damage."""
-        path = self.path_for(spec)
-        payload = self.read_json(path)
-        if payload is None or payload.get("schema") != CACHE_SCHEMA_VERSION:
-            return None
-        if payload.get("spec") != spec.to_jsonable():
-            return None
-        try:
-            result = result_from_jsonable(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            return None
-        self.touch(path)
-        return result
-
-    def put(self, spec: JobSpec, result: RunResult) -> Path:
-        """Persist ``result`` for ``spec``; returns the entry's path."""
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "spec": spec.to_jsonable(),
-            "result": result_to_jsonable(result),
-        }
-        return self.write_json(self.path_for(spec), payload)
+    schema = CACHE_SCHEMA_VERSION
+    payload_key = "result"
+    encode = staticmethod(result_to_jsonable)
+    decode = staticmethod(result_from_jsonable)
 
 
 @dataclass

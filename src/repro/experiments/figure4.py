@@ -12,16 +12,14 @@ import argparse
 import statistics
 from dataclasses import dataclass
 
-from repro.experiments.executor import sweep_specs
+from repro.experiments.executor import DEFAULT_REQUESTS, DEFAULT_SEED, sweep_specs
 from repro.experiments.runner import (
-    DEFAULT_REQUESTS,
-    DEFAULT_SEED,
     TableColumn,
     add_runner_arguments,
-    cached_run,
+    by_benchmark,
     configure_from_args,
     format_table,
-    prefetch,
+    resolve,
     select_benchmarks,
 )
 from repro.system.config import MachineConfig, ProtectionLevel
@@ -62,35 +60,28 @@ def run(
     machine: MachineConfig | None = None,
 ) -> Figure4Result:
     """Measure the per-level overhead breakdown for each benchmark."""
-    machine = machine or MachineConfig()
-    rows = []
-    names = select_benchmarks(benchmarks)
-    prefetch(
-        sweep_specs(
-            names,
-            [
-                ProtectionLevel.UNPROTECTED,
-                ProtectionLevel.ENCRYPTION_ONLY,
-                ProtectionLevel.OBFUSMEM,
-                ProtectionLevel.OBFUSMEM_AUTH,
-            ],
-            machine=machine,
-            num_requests=num_requests,
-            seed=seed,
-        ),
-        label="figure4",
+    specs = sweep_specs(
+        select_benchmarks(benchmarks),
+        [
+            ProtectionLevel.UNPROTECTED,
+            ProtectionLevel.ENCRYPTION_ONLY,
+            ProtectionLevel.OBFUSMEM,
+            ProtectionLevel.OBFUSMEM_AUTH,
+        ],
+        machine=machine or MachineConfig(),
+        num_requests=num_requests,
+        seed=seed,
     )
-    for name in names:
-        baseline = cached_run(name, ProtectionLevel.UNPROTECTED, machine, num_requests, seed)
-        enc = cached_run(name, ProtectionLevel.ENCRYPTION_ONLY, machine, num_requests, seed)
-        obf = cached_run(name, ProtectionLevel.OBFUSMEM, machine, num_requests, seed)
-        auth = cached_run(name, ProtectionLevel.OBFUSMEM_AUTH, machine, num_requests, seed)
+    results, _manifest = resolve(specs, label="figure4")
+    rows = []
+    for name, cells in by_benchmark(specs, results).items():
+        baseline = cells["unprotected"]
         rows.append(
             Figure4Row(
                 benchmark=name,
-                encryption_pct=enc.overhead_pct(baseline),
-                obfusmem_pct=obf.overhead_pct(baseline),
-                obfusmem_auth_pct=auth.overhead_pct(baseline),
+                encryption_pct=cells["encryption_only"].overhead_pct(baseline),
+                obfusmem_pct=cells["obfusmem"].overhead_pct(baseline),
+                obfusmem_auth_pct=cells["obfusmem_auth"].overhead_pct(baseline),
             )
         )
     return Figure4Result(rows)

@@ -15,15 +15,13 @@ import statistics
 from dataclasses import dataclass, replace
 
 from repro.core.config import ChannelInjection
-from repro.experiments.executor import JobSpec
+from repro.experiments.executor import DEFAULT_SEED, JobSpec
 from repro.experiments.runner import (
-    DEFAULT_SEED,
     TableColumn,
     add_runner_arguments,
-    cached_run,
     configure_from_args,
     format_table,
-    prefetch,
+    resolve,
     select_benchmarks,
 )
 from repro.system.config import MachineConfig, ProtectionLevel
@@ -93,40 +91,30 @@ def run(
                     JobSpec(name, level, machine, num_requests, seed, cores)
                     for name in names
                 ]
-    prefetch(specs, label="figure5")
-    points = []
-    for channels in channel_counts:
-        base_machine = MachineConfig(channels=channels)
-        baselines = {
-            name: cached_run(
-                name, ProtectionLevel.UNPROTECTED, base_machine, num_requests, seed,
-                cores=cores,
-            )
-            for name in names
-        }
-        for injection in (ChannelInjection.UNOPT, ChannelInjection.OPT):
-            machine = replace(base_machine, channel_injection=injection)
-            for authenticated in (False, True):
-                level = (
-                    ProtectionLevel.OBFUSMEM_AUTH
-                    if authenticated
-                    else ProtectionLevel.OBFUSMEM
-                )
-                overheads = [
-                    cached_run(
-                        name, level, machine, num_requests, seed, cores=cores
-                    ).overhead_pct(baselines[name])
-                    for name in names
-                ]
-                points.append(
-                    Figure5Point(
-                        channels=channels,
-                        injection=injection,
-                        authenticated=authenticated,
-                        avg_overhead_pct=statistics.mean(overheads),
-                    )
-                )
-    return Figure5Result(points)
+    results, _manifest = resolve(specs, label="figure5")
+    # Baselines precede their channel count's protected jobs in ``specs``;
+    # each series averages its benchmarks' overheads in benchmark order.
+    baselines = {}
+    overheads: dict[tuple, list[float]] = {}
+    for spec, result in zip(specs, results):
+        channels = spec.machine.channels
+        if spec.level is ProtectionLevel.UNPROTECTED:
+            baselines[channels, spec.benchmark] = result
+            continue
+        series = (
+            channels,
+            spec.machine.channel_injection,
+            spec.level is ProtectionLevel.OBFUSMEM_AUTH,
+        )
+        overheads.setdefault(series, []).append(
+            result.overhead_pct(baselines[channels, spec.benchmark])
+        )
+    return Figure5Result(
+        [
+            Figure5Point(channels, injection, authenticated, statistics.mean(values))
+            for (channels, injection, authenticated), values in overheads.items()
+        ]
+    )
 
 
 def format_results(result: Figure5Result) -> str:

@@ -2,8 +2,9 @@
 
 Fans every registered protection scheme against every registered attacker
 (:mod:`repro.attacks`) over a small workload suite, through the same
-:func:`~repro.experiments.runner.prefetch` + persistent-cache machinery
-the paper tables use.  Each cell is one
+:func:`~repro.experiments.runner.resolve` call the paper tables use, with
+its own outcome memo and :class:`AttackCache` in place of the result
+layers.  Each cell is one
 :class:`~repro.attacks.AttackOutcome` — a normalized advantage in
 ``[0, 1]`` over the attack's random-guess baseline — plus a leak verdict
 (advantage at or above the attacker's threshold) checked against the
@@ -23,11 +24,8 @@ are pure cache hits).
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from repro.analysis.leakage import expected_leakage
 from repro.attacks import (
@@ -45,6 +43,7 @@ from repro.experiments.executor import (
     DEFAULT_SEED,
     JsonFileCache,
     RunManifest,
+    content_digest,
 )
 from repro.experiments.runner import TableColumn, format_table
 from repro.mem.bus import BusObserver, MemoryBus
@@ -157,9 +156,7 @@ class AttackCellSpec:
 
     def digest(self) -> str:
         """Content hash of the spec plus the attack schema version."""
-        payload = {"schema": ATTACK_SCHEMA_VERSION, "spec": self.to_jsonable()}
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        return content_digest(ATTACK_SCHEMA_VERSION, spec=self.to_jsonable())
 
     def execute(self) -> AttackOutcome:
         """Capture the scheme's bus traffic and run the attacker over it.
@@ -191,39 +188,15 @@ class AttackCellSpec:
 class AttackCache(JsonFileCache):
     """Content-addressed persistent store of attack-cell outcomes.
 
-    One JSON file per cell digest, mirroring
-    :class:`~repro.experiments.executor.ResultCache`: every entry embeds
-    the schema token and the spec it was computed from, so stale schemas,
-    collisions and damage all degrade to a miss.
+    One ``<digest>.json`` entry per cell, read and written by the
+    :class:`~repro.experiments.executor.JsonFileCache` codec that also
+    serves results and traces.
     """
 
-    def path_for(self, spec: AttackCellSpec) -> Path:
-        """Where this cell's outcome lives (whether or not it exists yet)."""
-        return self.directory / f"{spec.digest()}.json"
-
-    def get(self, spec: AttackCellSpec) -> AttackOutcome | None:
-        """The cached outcome for ``spec``, or None on any miss or damage."""
-        path = self.path_for(spec)
-        payload = self.read_json(path)
-        if payload is None or payload.get("schema") != ATTACK_SCHEMA_VERSION:
-            return None
-        if payload.get("spec") != spec.to_jsonable():
-            return None
-        try:
-            outcome = AttackOutcome.from_jsonable(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            return None
-        self.touch(path)
-        return outcome
-
-    def put(self, spec: AttackCellSpec, outcome: AttackOutcome) -> Path:
-        """Persist ``outcome`` for ``spec``; returns the entry's path."""
-        payload = {
-            "schema": ATTACK_SCHEMA_VERSION,
-            "spec": spec.to_jsonable(),
-            "result": outcome.to_jsonable(),
-        }
-        return self.write_json(self.path_for(spec), payload)
+    schema = ATTACK_SCHEMA_VERSION
+    payload_key = "result"
+    encode = staticmethod(AttackOutcome.to_jsonable)
+    decode = staticmethod(AttackOutcome.from_jsonable)
 
 
 # Process-lifetime outcome cache, shared across matrix runs like
@@ -383,7 +356,7 @@ def run(
 ) -> MatrixResult:
     """Run the scheme×attack sweep and assemble the verdict matrix."""
     specs = matrix_specs(schemes, attacks, workloads, num_requests, seed, channels)
-    manifest = runner.prefetch(
+    outcomes, manifest = runner.resolve(
         specs,
         label="matrix",
         progress=progress,
@@ -391,8 +364,7 @@ def run(
         cache=CACHE_CONFIG.open(AttackCache, "attacks"),
     )
     cells = []
-    for spec in specs:
-        outcome = _memory[spec.digest()]
+    for spec, outcome in zip(specs, outcomes):
         attacker = get_attacker(spec.attack)
         expected = expected_leakage(resolve_scheme(spec.level))
         cells.append(

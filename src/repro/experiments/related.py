@@ -30,8 +30,8 @@ from repro.analysis.leakage import (
 )
 from repro.cpu.generator import make_trace
 from repro.cpu.spec_profiles import SPEC_PROFILES
+from repro.experiments.executor import DEFAULT_SEED
 from repro.experiments.runner import (
-    DEFAULT_SEED,
     TableColumn,
     add_runner_arguments,
     configure_from_args,

@@ -15,12 +15,8 @@ import sys
 import time
 
 from repro.experiments import energy, figure4, figure5, table1, table3, table4
-from repro.experiments.runner import (
-    DEFAULT_REQUESTS,
-    DEFAULT_SEED,
-    add_runner_arguments,
-    configure_from_args,
-)
+from repro.experiments.executor import DEFAULT_REQUESTS, DEFAULT_SEED
+from repro.experiments.runner import add_runner_arguments, configure_from_args
 
 
 def _code_block(text: str) -> str:

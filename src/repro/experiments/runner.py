@@ -1,14 +1,15 @@
-"""Shared experiment plumbing: cached runs, parallel prefetch, tables.
+"""Shared experiment plumbing: one resolve call, process config, tables.
 
-Every experiment module (table1/table3/figure4/figure5/table4/energy) runs
-its simulations as :class:`~repro.experiments.executor.JobSpec` jobs
-through this module's cache front: a process-lifetime dict plus the
-persistent on-disk :class:`~repro.experiments.executor.ResultCache`,
-resolved by :meth:`~repro.experiments.executor.ParallelRunner.lookup` /
-:meth:`~repro.experiments.executor.ParallelRunner.store`, and a parallel
-prefetch step, so a full regeneration of the paper's evaluation reuses
-each (benchmark, level, machine, seed) simulation across processes and
-can fan cold jobs out over every core.
+Every experiment module (table1/table3/figure4/figure5/energy, and the
+attack matrix) builds its grid once as a spec list and hands it to
+:func:`resolve`, which returns the results in spec order together with
+the sweep's run manifest.  Resolution goes through one
+:class:`~repro.experiments.executor.ParallelRunner`: a process-lifetime
+memo, then the persistent on-disk
+:class:`~repro.experiments.executor.ResultCache`, then simulation fanned
+out over the configured workers — so a full regeneration of the paper's
+evaluation reuses each (benchmark, level, machine, seed) simulation
+across processes and can spread cold jobs over every core.
 
 The execution surface is configured once per process::
 
@@ -23,7 +24,7 @@ or from any experiment CLI / ``python -m repro experiments`` via
 equivalents: ``REPRO_WORKERS``, ``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``).
 The cache settings are the one
 :data:`~repro.experiments.executor.CACHE_CONFIG`, which also governs the
-trace cache.  Each :func:`prefetch` sweep records a run manifest; with the
+trace cache.  Each :func:`resolve` sweep records a run manifest; with the
 disk cache enabled it is written under
 ``<cache-dir>/manifests/<label>.json``.
 """
@@ -42,21 +43,16 @@ from repro.experiments import trace_cache
 from repro.experiments.executor import (
     CACHE_CONFIG,
     DEFAULT_CACHE_DIR,
-    DEFAULT_REQUESTS,
-    DEFAULT_SEED,
     CacheConfig,
-    JobSpec,
     JsonFileCache,
     ParallelRunner,
     ResultCache,
     RunManifest,
-    execute,
 )
 from repro.attacks import add_attack_arguments
-from repro.schemes import add_scheme_arguments
+from repro.schemes import add_scheme_arguments, scheme_name_of
 from repro.sim import profiling
 from repro.sim.statistics import StatRegistry
-from repro.system.config import MachineConfig, ProtectionLevel
 from repro.system.simulator import RunResult
 
 WORKERS_ENV = "REPRO_WORKERS"
@@ -146,73 +142,25 @@ def simulations_performed() -> int:
     return int(_stats.group("executor").get("simulations"))
 
 
-def cached_run(
-    benchmark: str,
-    level: ProtectionLevel,
-    machine: MachineConfig | None = None,
-    num_requests: int = DEFAULT_REQUESTS,
-    seed: int = DEFAULT_SEED,
-    cores: int = 1,
-) -> RunResult:
-    """Run (or fetch) one benchmark at one protection level.
-
-    Resolution order: in-memory cache, then the persistent disk cache (when
-    enabled), then a fresh simulation whose result feeds both layers.
-    """
-    spec = JobSpec(
-        benchmark=benchmark,
-        level=level,
-        machine=machine or MachineConfig(),
-        num_requests=num_requests,
-        seed=seed,
-        cores=cores,
-    )
-    return run_spec(spec)
-
-
-def _front(
-    memory: dict | None = None, cache: JsonFileCache | None = None
-) -> ParallelRunner:
-    """A runner over one memo + disk store pair, counting into ``_stats``.
-
-    Without ``memory`` it is this module's result memo and the configured
-    :class:`ResultCache`; a caller with its own memo passes its disk store
-    (None for none) alongside it.
-    """
-    if memory is None:
-        memory, cache = _cache, CACHE_CONFIG.open(ResultCache)
-    workers = 1 if _config.profile else _config.workers
-    return ParallelRunner(workers=workers, cache=cache, memory=memory, stats=_stats)
-
-
-def run_spec(spec: JobSpec) -> RunResult:
-    """Resolve one :class:`JobSpec` through both cache layers."""
-    front = _front()
-    result, _source = front.lookup(spec)
-    if result is None:
-        result = execute(spec).result
-        front.store(spec, result)
-    return result
-
-
-def prefetch(
+def resolve(
     specs: list,
     label: str = "sweep",
     progress=None,
     memory: dict | None = None,
     cache: JsonFileCache | None = None,
-) -> RunManifest:
-    """Resolve a whole sweep up front, fanning cold jobs over workers.
+) -> tuple[list, RunManifest]:
+    """Resolve a whole sweep: ``(results in spec order, manifest)``.
 
-    Populates both cache layers, so subsequent :func:`cached_run` calls for
-    the same specs are pure in-memory hits.  ``memory`` and ``cache``
-    replace those layers for jobs with their own stores (the attack matrix
-    passes its outcome memo and attack-cell cache); by default they are
-    this module's result memo and the configured :class:`ResultCache`.
-    Returns the sweep's manifest; with the disk cache enabled it is also
-    written to ``<cache-dir>/manifests/<label>.json``.  ``progress`` (a
-    callable taking one :class:`~repro.experiments.executor.JobRecord`)
-    streams per-job resolution as the sweep advances.
+    Each spec is served from the in-memory memo, then the disk store, and
+    the remaining cold jobs are fanned over the configured workers; fresh
+    results feed both layers.  ``memory`` and ``cache`` replace those
+    layers for jobs with their own stores (the attack matrix passes its
+    outcome memo and attack-cell cache); by default they are this
+    module's result memo and the configured :class:`ResultCache`.  With
+    the disk cache enabled the manifest is also written to
+    ``<cache-dir>/manifests/<label>.json``.  ``progress`` (a callable
+    taking one :class:`~repro.experiments.executor.JobRecord`) streams
+    per-job resolution as the sweep advances.
 
     With profiling enabled (``--profile`` / ``REPRO_PROFILE``), the sweep
     runs serially in-process under cProfile + event accounting (fork
@@ -220,10 +168,17 @@ def prefetch(
     are written alongside the manifest as ``<label>.profile.json`` /
     ``<label>.profile.txt``.
     """
-    parallel = _front(memory, cache)
+    if memory is None:
+        memory, cache = _cache, CACHE_CONFIG.open(ResultCache)
+    parallel = ParallelRunner(
+        workers=1 if _config.profile else _config.workers,
+        cache=cache,
+        memory=memory,
+        stats=_stats,
+    )
     capture = profiling.capture() if _config.profile else contextlib.nullcontext()
     with capture as session:
-        parallel.run(list(specs), label=label, progress=progress)
+        results = parallel.run(list(specs), label=label, progress=progress)
     manifest = parallel.manifest
     assert manifest is not None
     manifest_dir = CACHE_CONFIG.directory / "manifests"
@@ -235,7 +190,15 @@ def prefetch(
             f"[profile] {label}: {session.accountant.events} events in "
             f"{session.wall_s:.3f} s -> {json_path} / {text_path}"
         )
-    return manifest
+    return results, manifest
+
+
+def by_benchmark(specs: list, results: list) -> dict[str, dict[str, RunResult]]:
+    """A resolved (benchmark x scheme) grid: benchmark -> scheme name -> result."""
+    grid: dict[str, dict[str, RunResult]] = {}
+    for spec, result in zip(specs, results):
+        grid.setdefault(spec.benchmark, {})[scheme_name_of(spec.level)] = result
+    return grid
 
 
 def add_runner_arguments(parser: argparse.ArgumentParser) -> None:

@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cpu.spec_profiles import SPEC_PROFILES
@@ -265,9 +265,8 @@ class SweepSpec:
             canonical.append(SweepAxis(axis.name, tuple(values)))
         return canonical
 
-    def _points(self) -> list[dict]:
-        """Every described design point as an axis-name -> value dict."""
-        axes = self._canonical_axes()
+    def _points(self, axes: list[SweepAxis]) -> list[dict]:
+        """Every design point of ``axes`` as an axis-name -> value dict."""
         if self.mode == "zip":
             length = max(len(axis.values) for axis in axes)
             rows = []
@@ -313,16 +312,14 @@ class SweepSpec:
         job list by content digest and (optionally) appends ``unprotected``
         baseline anchors.
         """
-        points = self._points()
+        # Canonicalize once: each pass queues its duplicate-value warnings.
+        axes = self._canonical_axes()
+        points = self._points(axes)
         specs: list[JobSpec] = []
         if self.mode == "grid":
-            benchmarks = [a for a in self._canonical_axes() if a.name == "benchmark"][0]
-            levels = [a for a in self._canonical_axes() if a.name == "level"][0]
-            outer_names = [
-                a.name
-                for a in self._canonical_axes()
-                if a.name not in ("benchmark", "level")
-            ]
+            benchmarks = [a for a in axes if a.name == "benchmark"][0]
+            levels = [a for a in axes if a.name == "level"][0]
+            outer_names = [a.name for a in axes if a.name not in ("benchmark", "level")]
             seen_outer = set()
             for point in points:
                 outer_key = json.dumps(

@@ -11,16 +11,13 @@ import argparse
 from dataclasses import dataclass
 
 from repro.cpu.spec_profiles import SPEC_PROFILES
-from repro.experiments.executor import JobSpec
+from repro.experiments.executor import DEFAULT_REQUESTS, DEFAULT_SEED, JobSpec
 from repro.experiments.runner import (
-    DEFAULT_REQUESTS,
-    DEFAULT_SEED,
     TableColumn,
     add_runner_arguments,
-    cached_run,
     configure_from_args,
     format_table,
-    prefetch,
+    resolve,
     select_benchmarks,
 )
 from repro.system.config import MachineConfig, ProtectionLevel
@@ -48,26 +45,20 @@ def run(
     seed: int = DEFAULT_SEED,
 ) -> list[Table1Row]:
     """Measure Table 1's three characteristics per benchmark."""
-    rows = []
     machine = MachineConfig()
-    names = select_benchmarks(benchmarks)
-    prefetch(
-        [
-            JobSpec(name, ProtectionLevel.UNPROTECTED, machine, num_requests, seed)
-            for name in names
-        ],
-        label="table1",
-    )
-    for name in names:
-        profile = SPEC_PROFILES[name]
-        result = cached_run(
-            name, ProtectionLevel.UNPROTECTED, machine, num_requests, seed
-        )
+    specs = [
+        JobSpec(name, ProtectionLevel.UNPROTECTED, machine, num_requests, seed)
+        for name in select_benchmarks(benchmarks)
+    ]
+    results, _manifest = resolve(specs, label="table1")
+    rows = []
+    for spec, result in zip(specs, results):
+        profile = SPEC_PROFILES[spec.benchmark]
         # MPKI is fixed by trace construction (instructions per request);
         # IPC and gap are measured from the simulation.
         rows.append(
             Table1Row(
-                benchmark=name,
+                benchmark=spec.benchmark,
                 measured_ipc=result.ipc(machine.cpu_clock_ghz),
                 measured_mpki=1000.0 / profile.instructions_per_request,
                 measured_gap_ns=result.average_gap_ns,

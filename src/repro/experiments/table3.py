@@ -20,16 +20,14 @@ import statistics
 from dataclasses import dataclass
 
 from repro.cpu.spec_profiles import SPEC_PROFILES
-from repro.experiments.executor import sweep_specs
+from repro.experiments.executor import DEFAULT_REQUESTS, DEFAULT_SEED, sweep_specs
 from repro.experiments.runner import (
-    DEFAULT_REQUESTS,
-    DEFAULT_SEED,
     TableColumn,
     add_runner_arguments,
-    cached_run,
+    by_benchmark,
     configure_from_args,
     format_table,
-    prefetch,
+    resolve,
     select_benchmarks,
 )
 from repro.schemes import available_schemes
@@ -100,35 +98,29 @@ def run(
     machine: MachineConfig | None = None,
 ) -> Table3Result:
     """Measure ORAM and ObfusMem+Auth overheads per benchmark."""
-    machine = machine or MachineConfig()
-    rows = []
-    names = select_benchmarks(benchmarks)
-    prefetch(
-        sweep_specs(
-            names,
-            [
-                ProtectionLevel.UNPROTECTED,
-                ProtectionLevel.ORAM,
-                ProtectionLevel.OBFUSMEM_AUTH,
-            ],
-            machine=machine,
-            num_requests=num_requests,
-            seed=seed,
-        ),
-        label="table3",
+    specs = sweep_specs(
+        select_benchmarks(benchmarks),
+        [
+            ProtectionLevel.UNPROTECTED,
+            ProtectionLevel.ORAM,
+            ProtectionLevel.OBFUSMEM_AUTH,
+        ],
+        machine=machine or MachineConfig(),
+        num_requests=num_requests,
+        seed=seed,
     )
-    for name in names:
+    results, _manifest = resolve(specs, label="table3")
+    rows = []
+    for name, cells in by_benchmark(specs, results).items():
         profile = SPEC_PROFILES[name]
-        baseline = cached_run(name, ProtectionLevel.UNPROTECTED, machine, num_requests, seed)
-        oram = cached_run(name, ProtectionLevel.ORAM, machine, num_requests, seed)
-        obfus = cached_run(
-            name, ProtectionLevel.OBFUSMEM_AUTH, machine, num_requests, seed
-        )
+        baseline = cells["unprotected"]
         rows.append(
             Table3Row(
                 benchmark=name,
-                oram_overhead_pct=oram.overhead_pct(baseline),
-                obfusmem_auth_overhead_pct=obfus.overhead_pct(baseline),
+                oram_overhead_pct=cells["oram"].overhead_pct(baseline),
+                obfusmem_auth_overhead_pct=cells["obfusmem_auth"].overhead_pct(
+                    baseline
+                ),
                 paper_oram_pct=profile.oram_overhead_pct,
                 paper_obfusmem_pct=profile.obfusmem_overhead_pct,
             )
@@ -180,43 +172,28 @@ def run_extended(
     ``schemes`` defaults to :func:`oram_scheme_names`; ObfusMem+Auth rides
     along as the paper's comparison anchor.
     """
-    machine = machine or MachineConfig()
-    names = select_benchmarks(benchmarks)
     scheme_names = list(schemes) if schemes is not None else oram_scheme_names()
-    levels: list[ProtectionLevel | str] = [
-        ProtectionLevel.UNPROTECTED,
-        ProtectionLevel.OBFUSMEM_AUTH,
-        *scheme_names,
-    ]
-    prefetch(
-        sweep_specs(
-            names,
-            levels,
-            machine=machine,
-            num_requests=num_requests,
-            seed=seed,
-        ),
-        label="table3-extended",
+    specs = sweep_specs(
+        select_benchmarks(benchmarks),
+        [ProtectionLevel.UNPROTECTED, ProtectionLevel.OBFUSMEM_AUTH, *scheme_names],
+        machine=machine or MachineConfig(),
+        num_requests=num_requests,
+        seed=seed,
     )
+    results, _manifest = resolve(specs, label="table3-extended")
     rows = []
-    for name in names:
-        baseline = cached_run(
-            name, ProtectionLevel.UNPROTECTED, machine, num_requests, seed
-        )
-        obfus = cached_run(
-            name, ProtectionLevel.OBFUSMEM_AUTH, machine, num_requests, seed
-        )
-        overheads = {
-            scheme: cached_run(name, scheme, machine, num_requests, seed).overhead_pct(
-                baseline
-            )
-            for scheme in scheme_names
-        }
+    for name, cells in by_benchmark(specs, results).items():
+        baseline = cells["unprotected"]
         rows.append(
             ExtendedRow(
                 benchmark=name,
-                oram_overheads_pct=overheads,
-                obfusmem_auth_overhead_pct=obfus.overhead_pct(baseline),
+                oram_overheads_pct={
+                    scheme: cells[scheme].overhead_pct(baseline)
+                    for scheme in scheme_names
+                },
+                obfusmem_auth_overhead_pct=cells["obfusmem_auth"].overhead_pct(
+                    baseline
+                ),
             )
         )
     return Table3Extended(schemes=tuple(scheme_names), rows=rows)

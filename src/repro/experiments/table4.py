@@ -27,8 +27,8 @@ from repro.cpu.spec_profiles import SPEC_PROFILES
 from repro.crypto.rng import DeterministicRng
 from repro.errors import OramDeadlockError
 from repro.experiments import table3
+from repro.experiments.executor import DEFAULT_SEED
 from repro.experiments.runner import (
-    DEFAULT_SEED,
     TableColumn,
     add_runner_arguments,
     configure_from_args,

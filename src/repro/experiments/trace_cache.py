@@ -8,11 +8,12 @@ kernels.  Both are pure functions of a small spec — so repeated jobs (the
 common case for the serve layer, which replays the same benchmarks at many
 protection levels) can skip the front end entirely.
 
-This module stores those traces next to the simulation results, reusing
-the :class:`~repro.experiments.executor.JsonFileCache` machinery:
+This module stores those traces next to the simulation results, through
+the one :class:`~repro.experiments.executor.JsonFileCache` entry codec:
 
-* entries are ``trace-<digest>.json`` files, content-addressed by a
-  schema-versioned digest of the full trace spec (benchmark/seed or
+* entries are ``trace-<digest>.json`` files, content-addressed by
+  :func:`~repro.experiments.executor.content_digest` over the schema
+  version, the spec kind and the full trace spec (benchmark/seed or
   kernel/params/hierarchy config), and validated on load by echoing the
   spec — corruption, hash collisions and schema skew degrade to a miss;
 * traces are stored in the lossless JSON form of
@@ -45,8 +46,6 @@ ratio in ``/metrics``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,12 +56,13 @@ from repro.cpu.kernels import KERNELS, trace_through_hierarchy
 from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
 from repro.cpu.trace import Trace
 from repro.crypto.rng import DeterministicRng
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError
 from repro.experiments.executor import (
     CACHE_CONFIG,
     CacheConfig,
     JsonFileCache,
     _jsonable,
+    content_digest,
 )
 from repro.mem.hierarchy import HierarchyConfig
 
@@ -70,13 +70,6 @@ from repro.mem.hierarchy import HierarchyConfig
 #: that invalidates previously cached traces.  Participates in every trace
 #: digest, so a bump orphans (rather than corrupts) old entries.
 TRACE_SCHEMA_VERSION = 1
-
-
-def _digest(kind: str, spec_jsonable: dict) -> str:
-    """Content hash of one trace spec plus the trace schema version."""
-    payload = {"schema": TRACE_SCHEMA_VERSION, "kind": kind, "spec": spec_jsonable}
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ class SyntheticTraceSpec:
     num_requests: int
     seed: int
 
-    #: Spec kind tag, part of the digest and the stored entry.
+    #: Spec kind tag, part of the digest.
     kind: ClassVar[str] = "synthetic"
 
     def __post_init__(self) -> None:
@@ -109,7 +102,9 @@ class SyntheticTraceSpec:
 
     def digest(self) -> str:
         """Content hash identifying this spec's cache entry."""
-        return _digest(self.kind, self.to_jsonable())
+        return content_digest(
+            TRACE_SCHEMA_VERSION, kind=self.kind, spec=self.to_jsonable()
+        )
 
     def build(self) -> Trace:
         """Generate the trace (the cache-miss path)."""
@@ -138,7 +133,7 @@ class KernelTraceSpec:
     core_id: int = 0
     seed: int | None = None
 
-    #: Spec kind tag, part of the digest and the stored entry.
+    #: Spec kind tag, part of the digest.
     kind: ClassVar[str] = "kernel"
 
     def __post_init__(self) -> None:
@@ -190,7 +185,9 @@ class KernelTraceSpec:
 
     def digest(self) -> str:
         """Content hash identifying this spec's cache entry."""
-        return _digest(self.kind, self.to_jsonable())
+        return content_digest(
+            TRACE_SCHEMA_VERSION, kind=self.kind, spec=self.to_jsonable()
+        )
 
     def build(self) -> Trace:
         """Run the kernel through the hierarchy (the cache-miss path)."""
@@ -216,42 +213,19 @@ class TraceCache(JsonFileCache):
     """Content-addressed persistent store of front-end traces.
 
     Entries are ``trace-<digest>.json`` files holding the schema version,
-    the spec echo and the lossless JSON trace.  The cache is designed to
-    share its directory with a :class:`~repro.experiments.executor.ResultCache`
-    — the inherited eviction machinery walks every ``*.json`` entry, so
-    results and traces compete inside one LRU byte budget.
+    the spec echo and the lossless JSON trace, read and written by the
+    :class:`~repro.experiments.executor.JsonFileCache` codec.  The cache
+    is designed to share its directory with a
+    :class:`~repro.experiments.executor.ResultCache` — the inherited
+    eviction machinery walks every ``*.json`` entry, so results and traces
+    compete inside one LRU byte budget.
     """
 
-    def path_for(self, spec: TraceSpec) -> Path:
-        """Where this spec's trace lives (whether or not it exists yet)."""
-        return self.directory / f"trace-{spec.digest()}.json"
-
-    def get(self, spec: TraceSpec) -> Trace | None:
-        """The cached trace for ``spec``, or None on any miss or damage."""
-        path = self.path_for(spec)
-        payload = self.read_json(path)
-        if payload is None or payload.get("schema") != TRACE_SCHEMA_VERSION:
-            return None
-        if payload.get("kind") != spec.kind:
-            return None
-        if payload.get("spec") != spec.to_jsonable():
-            return None
-        try:
-            trace = Trace.from_jsonable(payload["trace"])
-        except (TraceError, KeyError, TypeError, ValueError):
-            return None
-        self.touch(path)
-        return trace
-
-    def put(self, spec: TraceSpec, trace: Trace) -> Path:
-        """Persist ``trace`` for ``spec``; returns the entry's path."""
-        payload = {
-            "schema": TRACE_SCHEMA_VERSION,
-            "kind": spec.kind,
-            "spec": spec.to_jsonable(),
-            "trace": trace.to_jsonable(),
-        }
-        return self.write_json(self.path_for(spec), payload)
+    schema = TRACE_SCHEMA_VERSION
+    file_prefix = "trace-"
+    payload_key = "trace"
+    encode = staticmethod(Trace.to_jsonable)
+    decode = staticmethod(Trace.from_jsonable)
 
 
 _lock = threading.Lock()

@@ -566,7 +566,7 @@ class MemorySystem:
             for channel in range(mapping.channels)
         ]
 
-    def enqueue(
+    def issue(
         self,
         request: MemoryRequest,
         callback: CompletionCallback | None = None,
@@ -580,15 +580,6 @@ class MemorySystem:
         self.channels[channel].enqueue(
             request, callback, wire_command, wire_data, command_slots, bus_extra_ps
         )
-
-    # Port-compatibility alias: protection layers call ``issue``.
-    def issue(
-        self,
-        request: MemoryRequest,
-        callback: CompletionCallback | None = None,
-    ) -> None:
-        """Port-protocol alias of :meth:`enqueue`."""
-        self.enqueue(request, callback)
 
     def channel_for(self, address: int) -> ChannelController:
         """Controller serving the channel this address maps to."""

@@ -126,16 +126,16 @@ class TestResultCache:
     def test_corrupted_file_falls_back_to_rerun(self, tmp_path):
         runner.clear_cache()
         runner.configure(cache_enabled=True, cache_dir=tmp_path)
-        first = runner.cached_run("astar", ProtectionLevel.UNPROTECTED, **FAST)
+        (first,), _ = runner.resolve([_spec()])
         cache = ResultCache(tmp_path)
         cache.path_for(_spec()).write_text("garbage")
         runner.clear_cache()  # force past the in-memory layer (resets counters)
-        again = runner.cached_run("astar", ProtectionLevel.UNPROTECTED, **FAST)
+        (again,), _ = runner.resolve([_spec()])
         assert again == first
         assert runner.simulations_performed() == 1  # re-ran, did not crash
         # ... and the damaged entry was repaired by the re-run.
         runner.clear_cache()
-        runner.cached_run("astar", ProtectionLevel.UNPROTECTED, **FAST)
+        runner.resolve([_spec()])
         assert runner.runtime_stats()["executor.disk_hits"] == 1
 
     def test_clear_removes_entries(self, tmp_path):
@@ -307,23 +307,15 @@ class TestCachedRunKeying:
 
     def test_equal_machine_configs_share_one_entry(self):
         runner.clear_cache()
-        first = runner.cached_run(
-            "astar", ProtectionLevel.UNPROTECTED, MachineConfig(), **FAST
-        )
-        second = runner.cached_run(
-            "astar", ProtectionLevel.UNPROTECTED, MachineConfig(), **FAST
-        )
+        (first,), _ = runner.resolve([_spec(machine=MachineConfig())])
+        (second,), _ = runner.resolve([_spec(machine=MachineConfig())])
         assert first is second
         assert runner.simulations_performed() == 1
 
     def test_differing_machine_configs_do_not_collide(self):
         runner.clear_cache()
-        one = runner.cached_run(
-            "astar", ProtectionLevel.UNPROTECTED, MachineConfig(), **FAST
-        )
-        two = runner.cached_run(
-            "astar", ProtectionLevel.UNPROTECTED, MachineConfig(channels=2), **FAST
-        )
+        (one,), _ = runner.resolve([_spec(machine=MachineConfig())])
+        (two,), _ = runner.resolve([_spec(machine=MachineConfig(channels=2))])
         assert one is not two
         assert one.channels == 1 and two.channels == 2
         assert runner.simulations_performed() == 2
@@ -399,9 +391,10 @@ class TestPrefetch:
             runner.configure(profile=profile, cache_enabled=True, cache_dir=cache_dir)
             specs, layers, memory = jobs()
             memory.clear()
-            manifest = runner.prefetch(specs, label="probe", **layers)
+            results, manifest = runner.resolve(specs, label="probe", **layers)
             assert manifest.cache_misses == len(specs)
-            runs[profile] = [memory[spec.digest()] for spec in specs]
+            assert results == [memory[spec.digest()] for spec in specs]
+            runs[profile] = results
             written = sorted(path.name for path in (cache_dir / "manifests").iterdir())
             reports = ["probe.profile.json", "probe.profile.txt"] if profile else []
             assert written == sorted(["probe.json", *reports])

@@ -10,7 +10,8 @@ from repro.core.config import ChannelInjection
 from repro.experiments import clear_cache, figure4, figure5, table1, table3, table4
 from repro.experiments import energy as energy_experiment
 from repro.errors import ConfigurationError
-from repro.experiments.runner import cached_run, select_benchmarks
+from repro.experiments.executor import JobSpec
+from repro.experiments.runner import resolve, select_benchmarks
 from repro.system.config import ProtectionLevel
 
 FAST = dict(num_requests=500, seed=7)
@@ -26,13 +27,13 @@ def _fresh_cache():
 
 class TestRunner:
     def test_cache_returns_same_object(self):
-        a = cached_run("astar", ProtectionLevel.UNPROTECTED, **FAST)
-        b = cached_run("astar", ProtectionLevel.UNPROTECTED, **FAST)
+        (a,), _ = resolve([JobSpec("astar", ProtectionLevel.UNPROTECTED, **FAST)])
+        (b,), _ = resolve([JobSpec("astar", ProtectionLevel.UNPROTECTED, **FAST)])
         assert a is b
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ConfigurationError):
-            cached_run("quake", ProtectionLevel.UNPROTECTED, **FAST)
+            resolve([JobSpec("quake", ProtectionLevel.UNPROTECTED, **FAST)])
 
     def test_select_benchmarks(self):
         assert len(select_benchmarks(None)) == 15

@@ -167,7 +167,9 @@ class TestCompile:
             )
         ).compile()
         assert len(compiled.jobs) == 2
-        assert any("duplicate value" in w for w in compiled.warnings)
+        assert [w for w in compiled.warnings if "duplicate value" in w] == [
+            "axis 'benchmark': dropped 1 duplicate value(s) (kept 1 unique)"
+        ]
 
     def test_zip_mode_walks_axes_in_lockstep_and_broadcasts(self):
         compiled = small_spec(

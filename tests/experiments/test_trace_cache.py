@@ -129,11 +129,6 @@ class TestTraceCacheStore:
         assert cache.get(spec) is None  # schema skew
 
         payload["schema"] = TRACE_SCHEMA_VERSION
-        payload["kind"] = "kernel"
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None  # kind mismatch
-
-        payload["kind"] = spec.kind
         payload["spec"] = SyntheticTraceSpec("astar", 120, 99).to_jsonable()
         path.write_text(json.dumps(payload))
         assert cache.get(spec) is None  # digest collision / spec echo mismatch

@@ -22,7 +22,7 @@ def make_system(channels=1, bus=None, functional=False):
 def run_one(system, engine, request):
     done = []
     request.issue_time_ps = engine.now_ps
-    system.enqueue(request, lambda r: done.append(r))
+    system.issue(request, lambda r: done.append(r))
     engine.run()
     assert len(done) == 1
     return done[0]
@@ -52,7 +52,7 @@ class TestReadTiming:
         for address in (0, same_bank_other_row):
             request = MemoryRequest(address, RequestType.READ)
             request.issue_time_ps = 0
-            system.enqueue(request, lambda r: done.append(r))
+            system.issue(request, lambda r: done.append(r))
         engine.run()
         assert done[1].latency_ps > done[0].latency_ps
 
@@ -70,7 +70,7 @@ class TestWriteHandling:
         read = MemoryRequest(1024 * 64, RequestType.READ)
         for request in (write, read):
             request.issue_time_ps = 0
-            system.enqueue(request, lambda r: done.append(r))
+            system.issue(request, lambda r: done.append(r))
         engine.run()
         # Both complete; the read is not stuck behind the posted write by
         # more than the first command slot.
@@ -80,7 +80,7 @@ class TestWriteHandling:
     def test_write_drain_under_pressure(self):
         engine, stats, system = make_system()
         for i in range(20):
-            system.enqueue(MemoryRequest(i * 64 * 1024, RequestType.WRITE))
+            system.issue(MemoryRequest(i * 64 * 1024, RequestType.WRITE))
         engine.run()
         assert stats.group("channel0").get("writes") == 20
 
@@ -142,7 +142,7 @@ class TestBusObservability:
         engine, _, system = make_system(bus=bus)
         request = MemoryRequest(0, RequestType.READ)
         request.issue_time_ps = 0
-        system.enqueue(request, None, wire_command=b"\xab" * 16)
+        system.issue(request, None, wire_command=b"\xab" * 16)
         engine.run()
         assert observer.command_transfers()[0].wire_bytes == b"\xab" * 16
 
@@ -152,7 +152,7 @@ class TestBusObservability:
         write = MemoryRequest(1024 * 64 * 8, RequestType.WRITE)
         for request in (read, write):
             request.issue_time_ps = 0
-            system.enqueue(request)
+            system.issue(request)
         engine.run()
         assert stats.group("channel0").get("bus_turnarounds") >= 1
 
@@ -160,8 +160,8 @@ class TestBusObservability:
 class TestRouting:
     def test_requests_route_by_channel(self):
         engine, stats, system = make_system(channels=2)
-        system.enqueue(MemoryRequest(0, RequestType.READ))
-        system.enqueue(MemoryRequest(1024, RequestType.READ))  # channel 1
+        system.issue(MemoryRequest(0, RequestType.READ))
+        system.issue(MemoryRequest(1024, RequestType.READ))  # channel 1
         engine.run()
         assert stats.group("channel0").get("reads") == 1
         assert stats.group("channel1").get("reads") == 1
@@ -173,7 +173,7 @@ class TestRouting:
 
     def test_promote_oldest_write(self):
         engine, stats, system = make_system()
-        system.enqueue(MemoryRequest(0, RequestType.WRITE))
+        system.issue(MemoryRequest(0, RequestType.WRITE))
         channel = system.channels[0]
         assert channel.pending_real_writes == 1
         assert channel.promote_oldest_write() is True

@@ -24,7 +24,7 @@ class TestIssueHorizon:
         engine, _, system = make_system()
         channel = system.channels[0]
         for i in range(32):
-            system.enqueue(MemoryRequest(i * 64 * 1024, RequestType.WRITE))
+            system.issue(MemoryRequest(i * 64 * 1024, RequestType.WRITE))
         # Before the engine runs, everything is queued.
         assert channel.pending == 32
         engine.run(until_ps=ns_to_ps(20.0))
@@ -40,7 +40,7 @@ class TestIssueHorizon:
         for i in range(64):
             request = MemoryRequest(i * 64, RequestType.READ)
             request.issue_time_ps = 0
-            system.enqueue(request, lambda r: done.append(r))
+            system.issue(request, lambda r: done.append(r))
         engine.run()
         assert len(done) == 64
 
@@ -53,7 +53,7 @@ class TestDirectionGrouping:
         # Interleave arrival order: R W R W R W ... (distinct banks).
         for i in range(16):
             request_type = RequestType.READ if i % 2 == 0 else RequestType.WRITE
-            system.enqueue(MemoryRequest(i * 64 * 1024, request_type))
+            system.issue(MemoryRequest(i * 64 * 1024, request_type))
         engine.run()
         turnarounds = stats.group("channel0").get("bus_turnarounds")
         # Strict R/W alternation would need ~15 turnarounds; grouping
@@ -70,7 +70,7 @@ class TestBoundedLookahead:
         opener = MemoryRequest(0, RequestType.READ)
         opener.issue_time_ps = 0
         done = []
-        system.enqueue(opener, lambda r: done.append(("opener", engine.now_ps)))
+        system.issue(opener, lambda r: done.append(("opener", engine.now_ps)))
         engine.run()
         conflict = MemoryRequest(
             mapping.encode(
@@ -81,7 +81,7 @@ class TestBoundedLookahead:
         hit = MemoryRequest(64, RequestType.READ)
         for name, request in (("conflict", conflict), ("hit", hit)):
             request.issue_time_ps = engine.now_ps
-            system.enqueue(request, lambda r, n=name: done.append((n, engine.now_ps)))
+            system.issue(request, lambda r, n=name: done.append((n, engine.now_ps)))
         engine.run()
         order = [name for name, _ in done]
         assert order.index("hit") < order.index("conflict")
@@ -92,9 +92,9 @@ class TestWriteDrain:
         engine, stats, system = make_system()
         # Continuous read pressure plus a batch of writes.
         for i in range(40):
-            system.enqueue(MemoryRequest(i * 64 * 1024, RequestType.READ))
+            system.issue(MemoryRequest(i * 64 * 1024, RequestType.READ))
             if i < 20:
-                system.enqueue(MemoryRequest((1000 + i) * 64 * 1024, RequestType.WRITE))
+                system.issue(MemoryRequest((1000 + i) * 64 * 1024, RequestType.WRITE))
         engine.run()
         group = stats.group("channel0")
         assert group.get("writes") == 20
@@ -129,7 +129,7 @@ def test_every_read_completes_property(operations):
 
         def send(request=request):
             request.issue_time_ps = engine.now_ps
-            system.enqueue(
+            system.issue(
                 request, (lambda r: completed.append(r)) if request.is_read else None
             )
 
